@@ -27,10 +27,12 @@ BM_SetAssocAccess(benchmark::State &state)
     sst::Rng rng(42);
     for (auto _ : state) {
         const sst::Addr line = rng.below(1 << 16);
-        if (sst::TagEntry *e = array.findValid(line))
-            array.touch(*e);
+        sst::SetAssocArray::Slot fill = sst::SetAssocArray::kNoSlot;
+        const sst::SetAssocArray::Slot s = array.probe(line, &fill);
+        if (s != sst::SetAssocArray::kNoSlot && array.valid(s))
+            array.touch(s);
         else
-            array.insert(line);
+            benchmark::DoNotOptimize(array.fill(fill, line));
     }
 }
 BENCHMARK(BM_SetAssocAccess);

@@ -52,13 +52,13 @@ Atd::access(Addr line)
         llc_set / static_cast<std::uint64_t>(sampling_);
     const Addr pseudo = (tag << atdSetBits_) | atd_set;
 
-    if (TagEntry *e = array_.findValid(pseudo)) {
-        probe.hit = true;
-        array_.touch(*e);
-    } else {
-        probe.hit = false;
-        array_.insert(pseudo);
-    }
+    SetAssocArray::Slot fill = SetAssocArray::kNoSlot;
+    const SetAssocArray::Slot s = array_.probe(pseudo, &fill);
+    probe.hit = s != SetAssocArray::kNoSlot && array_.valid(s);
+    if (probe.hit)
+        array_.touch(s);
+    else
+        array_.fill(fill, pseudo);
     return probe;
 }
 

@@ -31,49 +31,68 @@ CacheHierarchy::CacheHierarchy(int ncores, const CacheParams &params)
                 params.llcBytes, params.llcWays, 1));
         }
     }
+    l1Slots_ = l1s_.front().size();
+    l1LlcSlot_.assign(static_cast<std::size_t>(ncores) * l1Slots_,
+                      SetAssocArray::kNoSlot);
+    sharers_.assign(llc_.size(), 0);
+    dirtyOwner_.assign(llc_.size(), kInvalidId);
     stats_.resize(static_cast<std::size_t>(ncores));
 }
 
+CacheHierarchy::Slot
+CacheHierarchy::llcSlotOf(CoreId core, Slot l1_slot) const
+{
+    const Slot dir = l1LlcSlot_[backIndex(core, l1_slot)];
+    const SetAssocArray &l1 = l1s_[static_cast<std::size_t>(core)];
+    sstAssert(dir < llc_.size() && llc_.valid(dir) &&
+                  llc_.line(dir) == l1.line(l1_slot),
+              "inclusion violated: L1 line has no LLC copy at its slot");
+    return dir;
+}
+
 void
-CacheHierarchy::invalidateOtherL1s(Addr line, CoreId keeper, TagEntry &dir)
+CacheHierarchy::dropL1Copy(CoreId core, Slot dir, bool dirty)
+{
+    // Silent drop for clean lines; dirty lines write back into the
+    // LLC, which then owns the only up-to-date copy.
+    sharers_[dir] &= ~bit(core);
+    if (dirty) {
+        llc_.setDirty(dir, true);
+        if (dirtyOwner_[dir] == core)
+            dirtyOwner_[dir] = kInvalidId;
+    }
+}
+
+void
+CacheHierarchy::invalidateOtherL1s(Addr line, CoreId keeper, Slot dir)
 {
     // Walk set bits (ascending core id, like the old full-core loop)
     // instead of scanning all ncores per upgrade.
-    for (std::uint64_t rest = dir.sharers; rest != 0; rest &= rest - 1) {
+    std::uint64_t &sharers = sharers_[dir];
+    for (std::uint64_t rest = sharers; rest != 0; rest &= rest - 1) {
         const int c = __builtin_ctzll(rest);
         if (c == keeper)
             continue;
         if (l1s_[static_cast<std::size_t>(c)].invalidate(line,
                                                          /*keep_tag=*/true))
             ++stats_[static_cast<std::size_t>(c)].invalidationsReceived;
-        dir.sharers &= ~bit(c);
+        sharers &= ~bit(c);
     }
-    if (dir.dirtyOwner != kInvalidId && dir.dirtyOwner != keeper)
-        dir.dirtyOwner = kInvalidId;
+    if (dirtyOwner_[dir] != kInvalidId && dirtyOwner_[dir] != keeper)
+        dirtyOwner_[dir] = kInvalidId;
 }
 
 void
-CacheHierarchy::insertIntoL1(CoreId core, Addr line, bool dirty,
-                             TagEntry &dir_entry)
+CacheHierarchy::insertIntoL1(CoreId core, Slot l1_slot, Addr line,
+                             bool dirty, Slot dir)
 {
     auto &l1 = l1s_[static_cast<std::size_t>(core)];
-    TagEntry victim;
-    TagEntry &e = l1.insert(line, &victim);
-    e.dirty = dirty;
-    (void)dir_entry;
-
-    if (victim.valid && victim.line != line) {
-        // Silent drop for clean lines; dirty lines write back into the
-        // LLC, which then owns the only up-to-date copy.
-        if (TagEntry *vdir = llc_.findValid(victim.line)) {
-            vdir->sharers &= ~bit(core);
-            if (victim.dirty) {
-                vdir->dirty = true;
-                if (vdir->dirtyOwner == core)
-                    vdir->dirtyOwner = kInvalidId;
-            }
-        }
-    }
+    // Evict through the victim's back-pointer before fill() reuses it.
+    if (l1.valid(l1_slot))
+        dropL1Copy(core, llcSlotOf(core, l1_slot), l1.dirty(l1_slot));
+    l1.fill(l1_slot, line);
+    l1.setDirty(l1_slot, dirty);
+    l1LlcSlot_[backIndex(core, l1_slot)] = dir;
 }
 
 AccessOutcome
@@ -87,31 +106,31 @@ CacheHierarchy::access(CoreId core, Addr addr, bool is_write)
     auto &l1 = l1s_[static_cast<std::size_t>(core)];
     ++st.l1Accesses;
 
-    // One resident probe serves both the hit test and the
-    // coherency-miss classification (the stale tag case).
-    TagEntry *resident = l1.findAny(line);
+    // One probe serves the hit test, the coherency-miss classification
+    // (the stale tag case) and the choice of way for the miss fill.
+    Slot l1_fill = SetAssocArray::kNoSlot;
+    const Slot resident = l1.probe(line, &l1_fill);
 
     // ---- L1 hit path ----------------------------------------------------
-    if (resident && resident->valid) {
-        TagEntry *e = resident;
+    if (resident != SetAssocArray::kNoSlot && l1.valid(resident)) {
         out.l1Hit = true;
         ++st.l1Hits;
-        l1.touch(*e);
-        if (is_write && !e->dirty) {
+        l1.touch(resident);
+        if (is_write && !l1.dirty(resident)) {
             // Upgrade: gain exclusivity by invalidating other copies.
-            if (TagEntry *dir = llc_.findValid(line)) {
-                invalidateOtherL1s(line, core, *dir);
-                dir->sharers = bit(core);
-                dir->dirtyOwner = core;
-                dir->dirty = true;
-            }
-            e->dirty = true;
+            const Slot dir = llcSlotOf(core, resident);
+            invalidateOtherL1s(line, core, dir);
+            sharers_[dir] = bit(core);
+            dirtyOwner_[dir] = core;
+            llc_.setDirty(dir, true);
+            l1.setDirty(resident, true);
         }
         return out;
     }
 
     // ---- L1 miss: classify a possible coherency miss ---------------------
-    if (resident && resident->coherenceInvalidated) {
+    if (resident != SetAssocArray::kNoSlot &&
+        l1.coherenceInvalidated(resident)) {
         out.coherencyMiss = true;
         ++st.coherencyMisses;
     }
@@ -127,37 +146,43 @@ CacheHierarchy::access(CoreId core, Addr addr, bool is_write)
         oracle = oracleAtds_[static_cast<std::size_t>(core)]->access(line);
     }
 
-    if (TagEntry *dir = llc_.findValid(line)) {
+    // On a hit the fill slot is the resident one, so `dir` names the
+    // line's LLC slot either way.
+    Slot dir = SetAssocArray::kNoSlot;
+    const Slot llc_resident = llc_.probe(line, &dir);
+    if (llc_resident != SetAssocArray::kNoSlot && llc_.valid(llc_resident)) {
         out.llcHit = true;
         ++st.llcHits;
-        llc_.touch(*dir);
+        llc_.touch(dir);
 
         // Dirty copy lives in another core's L1: cache-to-cache transfer
         // through the LLC (M -> S on a read, M -> I on a write).
-        if (dir->dirtyOwner != kInvalidId && dir->dirtyOwner != core) {
+        const CoreId owner = dirtyOwner_[dir];
+        if (owner != kInvalidId && owner != core) {
             out.dirtyInOtherL1 = true;
-            auto &owner_l1 =
-                l1s_[static_cast<std::size_t>(dir->dirtyOwner)];
+            auto &owner_l1 = l1s_[static_cast<std::size_t>(owner)];
             if (is_write) {
                 if (owner_l1.invalidate(line, /*keep_tag=*/true)) {
-                    ++stats_[static_cast<std::size_t>(dir->dirtyOwner)]
+                    ++stats_[static_cast<std::size_t>(owner)]
                           .invalidationsReceived;
                 }
-                dir->sharers &= ~bit(dir->dirtyOwner);
-            } else if (TagEntry *oe = owner_l1.findValid(line)) {
-                oe->dirty = false; // downgrade to shared
+                sharers_[dir] &= ~bit(owner);
+            } else {
+                const Slot oe = owner_l1.findValid(line);
+                if (oe != SetAssocArray::kNoSlot)
+                    owner_l1.setDirty(oe, false); // downgrade to shared
             }
-            dir->dirty = true;
-            dir->dirtyOwner = kInvalidId;
+            llc_.setDirty(dir, true);
+            dirtyOwner_[dir] = kInvalidId;
         }
 
         if (is_write) {
-            invalidateOtherL1s(line, core, *dir);
-            dir->sharers = bit(core);
-            dir->dirtyOwner = core;
-            dir->dirty = true;
+            invalidateOtherL1s(line, core, dir);
+            sharers_[dir] = bit(core);
+            dirtyOwner_[dir] = core;
+            llc_.setDirty(dir, true);
         } else {
-            dir->sharers |= bit(core);
+            sharers_[dir] |= bit(core);
         }
 
         if (probe.sampled && !probe.hit) {
@@ -168,7 +193,7 @@ CacheHierarchy::access(CoreId core, Addr addr, bool is_write)
             out.oracleInterThreadHit = true;
             ++st.oracleInterThreadHits;
         }
-        insertIntoL1(core, line, is_write, *dir);
+        insertIntoL1(core, l1_fill, line, is_write, dir);
         return out;
     }
 
@@ -183,27 +208,31 @@ CacheHierarchy::access(CoreId core, Addr addr, bool is_write)
         ++st.oracleInterThreadMisses;
     }
 
-    TagEntry victim;
-    TagEntry &dir = llc_.insert(line, &victim);
+    const SetAssocArray::Evicted victim = llc_.fill(dir, line);
     if (victim.valid) {
         // Inclusive LLC: back-invalidate every L1 copy of the victim.
-        for (std::uint64_t rest = victim.sharers; rest != 0;
+        const std::uint64_t victim_sharers = sharers_[dir];
+        for (std::uint64_t rest = victim_sharers; rest != 0;
              rest &= rest - 1) {
             const int c = __builtin_ctzll(rest);
             l1s_[static_cast<std::size_t>(c)].invalidate(
                 victim.line, /*keep_tag=*/false);
         }
-        if (victim.dirty || victim.dirtyOwner != kInvalidId) {
+        // A copy dropped from this core's L1 may have emptied a way of
+        // the set the fill goes to; the empty way must win, so choose
+        // again.
+        if (victim_sharers & bit(core))
+            l1.probe(line, &l1_fill);
+        if (victim.dirty || dirtyOwner_[dir] != kInvalidId) {
             out.victimWriteback = true;
             out.victimLine = victim.line;
             ++st.writebacks;
         }
     }
-    dir.sharers = bit(core);
-    dir.dirtyOwner = is_write ? core : kInvalidId;
-    dir.dirty = is_write;
-    dir.filledBy = core;
-    insertIntoL1(core, line, is_write, dir);
+    sharers_[dir] = bit(core);
+    dirtyOwner_[dir] = is_write ? core : kInvalidId;
+    llc_.setDirty(dir, is_write);
+    insertIntoL1(core, l1_fill, line, is_write, dir);
     return out;
 }
 
@@ -218,17 +247,9 @@ void
 CacheHierarchy::flushL1(CoreId core)
 {
     auto &l1 = l1s_[static_cast<std::size_t>(core)];
-    for (const TagEntry &e : l1.raw()) {
-        if (!e.valid)
-            continue;
-        if (TagEntry *vdir = llc_.findValid(e.line)) {
-            vdir->sharers &= ~bit(core);
-            if (e.dirty) {
-                vdir->dirty = true;
-                if (vdir->dirtyOwner == core)
-                    vdir->dirtyOwner = kInvalidId;
-            }
-        }
+    for (Slot s = 0; s < l1.size(); ++s) {
+        if (l1.valid(s))
+            dropL1Copy(core, llcSlotOf(core, s), l1.dirty(s));
     }
     l1.reset();
 }

@@ -10,6 +10,19 @@
  * Latency is *not* applied here — the hierarchy reports what happened and
  * the core model / DRAM model translate outcomes into cycles. This keeps
  * tag manipulation single-pass and testable in isolation.
+ *
+ * State beyond the tag arrays (see set_assoc.hh) is kept per slot:
+ *   - the directory (`sharers_`, `dirtyOwner_`) in arrays indexed by LLC
+ *     slot, so only the LLC pays for it;
+ *   - one back-pointer per L1 way (`l1LlcSlot_`) naming the LLC slot of
+ *     the line that way holds.
+ *
+ * Inclusion invariant: every valid L1 line is valid in the LLC at the
+ * slot its back-pointer names, with the core's sharer bit set. An LLC
+ * line cannot leave its slot without first back-invalidating every L1
+ * copy, so the back-pointer of a valid L1 line never goes stale. L1
+ * evictions, write upgrades and L1 flushes therefore reach the
+ * directory without probing the LLC; each use checks the tag.
  */
 
 #ifndef SST_CACHE_HIERARCHY_HH
@@ -118,15 +131,53 @@ class CacheHierarchy
     int ncores() const { return ncores_; }
     const CacheParams &params() const { return params_; }
 
+    using Slot = SetAssocArray::Slot;
+
+    /** Read-only tag state, for invariant checks. */
+    const SetAssocArray &l1(CoreId core) const
+    {
+        return l1s_[static_cast<std::size_t>(core)];
+    }
+    const SetAssocArray &llc() const { return llc_; }
+
+    /** LLC slot recorded for @p core's L1 way @p l1_slot (meaningful
+     *  while that way holds a valid line). */
+    Slot
+    l1LlcSlot(CoreId core, Slot l1_slot) const
+    {
+        return l1LlcSlot_[backIndex(core, l1_slot)];
+    }
+
+    /** Directory bitmap of the L1s holding the line in @p llc_slot. */
+    std::uint64_t sharers(Slot llc_slot) const { return sharers_[llc_slot]; }
+
   private:
-    void invalidateOtherL1s(Addr line, CoreId keeper, TagEntry &dir);
-    void insertIntoL1(CoreId core, Addr line, bool dirty,
-                      TagEntry &dir_entry);
+    std::size_t
+    backIndex(CoreId core, Slot l1_slot) const
+    {
+        return static_cast<std::size_t>(core) * l1Slots_ + l1_slot;
+    }
+
+    /** LLC slot of the valid line in @p core's L1 way @p l1_slot. */
+    Slot llcSlotOf(CoreId core, Slot l1_slot) const;
+    /** Drop @p core from the directory entry of a line leaving its L1;
+     *  a dirty copy writes back into the LLC. */
+    void dropL1Copy(CoreId core, Slot llc_slot, bool dirty);
+    void invalidateOtherL1s(Addr line, CoreId keeper, Slot dir);
+    void insertIntoL1(CoreId core, Slot l1_slot, Addr line, bool dirty,
+                      Slot dir);
 
     int ncores_;
     CacheParams params_;
     std::vector<SetAssocArray> l1s_;
     SetAssocArray llc_;
+    std::size_t l1Slots_; ///< slots per L1 (all L1s share a geometry)
+    /** Per L1 way, core-major: LLC slot of the line held there. */
+    std::vector<Slot> l1LlcSlot_;
+    /** Per LLC slot: bitmap of L1 copies. */
+    std::vector<std::uint64_t> sharers_;
+    /** Per LLC slot: core holding the line modified, or kInvalidId. */
+    std::vector<CoreId> dirtyOwner_;
     std::vector<std::unique_ptr<Atd>> atds_;
     std::vector<std::unique_ptr<Atd>> oracleAtds_;
     std::vector<CacheStats> stats_;

@@ -6,18 +6,10 @@
 namespace sst {
 
 SetAssocArray::SetAssocArray(std::uint64_t size_bytes, int ways)
-    : sets_(static_cast<int>(size_bytes / kLineBytes /
-                             static_cast<std::uint64_t>(ways))),
-      ways_(ways)
+    : SetAssocArray(static_cast<int>(size_bytes / kLineBytes /
+                                     static_cast<std::uint64_t>(ways)),
+                    ways, true)
 {
-    sstAssert(ways_ > 0, "cache needs at least one way");
-    sstAssert(sets_ > 0, "cache needs at least one set");
-    sstAssert(isPow2(static_cast<std::uint64_t>(sets_)),
-              "cache set count must be a power of two");
-    entries_.resize(static_cast<std::size_t>(sets_) *
-                    static_cast<std::size_t>(ways_));
-    tags_.assign(entries_.size(), kNoTag);
-    stamps_.assign(entries_.size(), 0);
 }
 
 SetAssocArray::SetAssocArray(int sets, int ways, bool)
@@ -27,10 +19,12 @@ SetAssocArray::SetAssocArray(int sets, int ways, bool)
     sstAssert(sets_ > 0, "cache needs at least one set");
     sstAssert(isPow2(static_cast<std::uint64_t>(sets_)),
               "cache set count must be a power of two");
-    entries_.resize(static_cast<std::size_t>(sets_) *
-                    static_cast<std::size_t>(ways_));
-    tags_.assign(entries_.size(), kNoTag);
-    stamps_.assign(entries_.size(), 0);
+    const std::uint64_t slots = static_cast<std::uint64_t>(sets_) *
+                                static_cast<std::uint64_t>(ways_);
+    sstAssert(slots < kNoSlot, "cache has too many ways to index");
+    tags_.assign(static_cast<std::size_t>(slots), kNoTag);
+    stamps_.assign(static_cast<std::size_t>(slots), 0);
+    state_.assign(static_cast<std::size_t>(slots), 0);
 }
 
 SetAssocArray
@@ -39,84 +33,19 @@ SetAssocArray::fromSets(int sets, int ways)
     return SetAssocArray(sets, ways, true);
 }
 
-TagEntry *
-SetAssocArray::entryAt(std::uint64_t set, int way)
-{
-    return &entries_[set * static_cast<std::uint64_t>(ways_) +
-                     static_cast<std::uint64_t>(way)];
-}
-
-TagEntry &
-SetAssocArray::insert(Addr line, TagEntry *victim)
-{
-    const std::uint64_t set = setIndex(line);
-
-    // Prefer reusing a resident-but-invalid entry for the same line, then
-    // the first free way, then the LRU way — selected in one fused pass
-    // over the compact side arrays (tag search was three passes before,
-    // and insert is the hottest function in the simulator). The LRU
-    // candidate tracks the first minimum in way order among occupied
-    // ways, exactly like the historical dedicated scan.
-    const std::size_t base =
-        static_cast<std::size_t>(set * static_cast<std::uint64_t>(ways_));
-    std::size_t match = base + static_cast<std::size_t>(ways_);
-    std::size_t free_way = match;
-    std::size_t lru = match;
-    for (std::size_t i = base; i < base + static_cast<std::size_t>(ways_);
-         ++i) {
-        const Addr tag = tags_[i];
-        if (tag == line) {
-            match = i;
-            break;
-        }
-        if (tag == kNoTag) {
-            if (free_way == base + static_cast<std::size_t>(ways_))
-                free_way = i;
-        } else if (lru == base + static_cast<std::size_t>(ways_) ||
-                   stamps_[i] < stamps_[lru]) {
-            lru = i;
-        }
-    }
-    const std::size_t end = base + static_cast<std::size_t>(ways_);
-    TagEntry *target = &entries_[match != end    ? match
-                                 : free_way != end ? free_way
-                                                   : lru];
-
-    if (victim) {
-        *victim = *target;
-        // A coherence-invalidated resident tag is not a live victim.
-        if (!target->valid)
-            victim->valid = false;
-    }
-
-    *target = TagEntry{};
-    target->line = line;
-    target->valid = true;
-    target->lruStamp = ++stamp_;
-    const std::size_t idx =
-        static_cast<std::size_t>(target - entries_.data());
-    tags_[idx] = line;
-    stamps_[idx] = target->lruStamp;
-    return *target;
-}
-
 bool
 SetAssocArray::invalidate(Addr line, bool keep_tag)
 {
-    TagEntry *e = findValid(line);
-    if (!e)
+    const Slot s = findValid(line);
+    if (s == kNoSlot)
         return false;
     if (keep_tag) {
-        e->valid = false;
-        e->coherenceInvalidated = true;
-        e->dirty = false;
         // Still resident: the tag stays in the probe array.
+        state_[s] = kCoherenceInvalidated;
     } else {
-        *e = TagEntry{};
-        const std::size_t idx =
-            static_cast<std::size_t>(e - entries_.data());
-        tags_[idx] = kNoTag;
-        stamps_[idx] = 0;
+        tags_[s] = kNoTag;
+        stamps_[s] = 0;
+        state_[s] = 0;
     }
     return true;
 }
@@ -124,18 +53,17 @@ SetAssocArray::invalidate(Addr line, bool keep_tag)
 void
 SetAssocArray::reset()
 {
-    for (TagEntry &e : entries_)
-        e = TagEntry{};
-    tags_.assign(entries_.size(), kNoTag);
-    stamps_.assign(entries_.size(), 0);
+    tags_.assign(tags_.size(), kNoTag);
+    stamps_.assign(stamps_.size(), 0);
+    state_.assign(state_.size(), 0);
 }
 
 std::uint64_t
 SetAssocArray::validCount() const
 {
     std::uint64_t n = 0;
-    for (const auto &e : entries_) {
-        if (e.valid)
+    for (const std::uint8_t st : state_) {
+        if (st & kValid)
             ++n;
     }
     return n;

@@ -4,6 +4,25 @@
  * the private L1 caches, the shared LLC and the per-core auxiliary tag
  * directories (ATDs). Tracks tags only — the toolkit never models data
  * values, just presence and status bits, like a simulator tag pipeline.
+ *
+ * Layout: struct-of-arrays, one entry per way slot (slot = set * ways +
+ * way) in each of three arrays:
+ *   - `tags_`:   resident line number, or kNoTag for an empty way (8 B);
+ *   - `stamps_`: global LRU access stamp of the last fill/touch (8 B);
+ *   - `state_`:  valid / dirty / coherence-invalidated bits (1 B).
+ * A probe scans only the tag array (a 16-way set is two host cache
+ * lines); the replacement choice reads the stamps of the same set.
+ * Anything a particular cache keeps per line beyond that (the LLC's
+ * coherence directory, the L1s' LLC back-pointers) lives with its owner
+ * in arrays indexed by the same slot numbers.
+ *
+ * Probe/fill contract: probe() makes one pass over a set and reports
+ * both the slot holding the line (valid or coherence-invalidated) and
+ * the slot a fill would take. The fill slot is the line's own resident
+ * way when there is one, else the first empty way, else the way with
+ * the smallest stamp. fill() installs a line there and returns what it
+ * displaced. A slot from probe() stays correct for fill() as long as
+ * nothing else changes that set in between.
  */
 
 #ifndef SST_CACHE_SET_ASSOC_HH
@@ -17,35 +36,27 @@
 namespace sst {
 
 /**
- * One cached line's bookkeeping. `valid` distinguishes live lines;
- * `coherenceInvalidated` marks tags that were invalidated by a coherence
- * upgrade and are still resident in the tag array — re-references to such
- * tags are coherency misses (Section 4.5 of the paper).
- */
-struct TagEntry
-{
-    Addr line = 0;         ///< full line number (tag + set, unambiguous)
-    bool valid = false;
-    bool dirty = false;
-    bool coherenceInvalidated = false;
-    std::uint64_t lruStamp = 0;
-    std::uint64_t sharers = 0; ///< LLC directory: bitmap of L1 copies
-    CoreId dirtyOwner = kInvalidId; ///< LLC directory: core with M copy
-    CoreId filledBy = kInvalidId;   ///< core whose miss brought the line
-};
-
-/**
  * Set-associative tag array. Geometry is (sets x ways); lines are mapped
  * by line number modulo the set count. LRU uses a global access stamp.
- *
- * Lookups scan a compact parallel array of resident line numbers (8
- * bytes per way) instead of the ~48-byte TagEntry records, so a 16-way
- * probe touches two cache lines rather than twelve — tag search is the
- * hottest function in the whole simulator (every L1/LLC/ATD access).
  */
 class SetAssocArray
 {
   public:
+    /** Index of one way: set * ways + way. */
+    using Slot = std::uint32_t;
+    /** "No such slot" (probe miss). */
+    static constexpr Slot kNoSlot = ~Slot(0);
+
+    /** What a fill displaced. `line` and `dirty` are meaningful only
+     *  when `valid`: empty and coherence-invalidated ways are no live
+     *  victim. */
+    struct Evicted
+    {
+        Addr line = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
     /**
      * @param size_bytes total capacity in bytes
      * @param ways associativity
@@ -62,93 +73,131 @@ class SetAssocArray
         return line & (static_cast<std::uint64_t>(sets_) - 1);
     }
 
-    /** Find a valid entry for @p line; nullptr on miss. */
-    TagEntry *
-    findValid(Addr line)
-    {
-        TagEntry *e = findResident(line);
-        return e && e->valid ? e : nullptr;
-    }
-
-    /** Find any resident entry (valid or coherence-invalidated). */
-    TagEntry *
-    findAny(Addr line)
-    {
-        return findResident(line);
-    }
-
-    /** Update the LRU stamp of @p entry (call on every hit). */
-    void
-    touch(TagEntry &entry)
-    {
-        entry.lruStamp = ++stamp_;
-        stamps_[static_cast<std::size_t>(&entry - entries_.data())] =
-            entry.lruStamp;
-    }
-
     /**
-     * Insert @p line, evicting the LRU way of its set if needed.
-     * @param[out] victim filled with the evicted entry (valid == true only
-     *             if a live line was displaced)
-     * @return reference to the (re)initialized entry
+     * One pass over @p line's set.
+     * @param[out] fill when non-null, receives the slot a fill of
+     *             @p line would take (see the file comment)
+     * @return the slot holding @p line, valid or coherence-invalidated;
+     *         kNoSlot if the tag is not resident
      */
-    TagEntry &insert(Addr line, TagEntry *victim = nullptr);
+    Slot
+    probe(Addr line, Slot *fill = nullptr) const
+    {
+        const std::size_t base = static_cast<std::size_t>(
+            setIndex(line) * static_cast<std::uint64_t>(ways_));
+        const std::size_t end = base + static_cast<std::size_t>(ways_);
+        if (!fill) {
+            for (std::size_t i = base; i < end; ++i) {
+                // fill() never duplicates a line within a set, so the
+                // first tag match is the only one.
+                if (tags_[i] == line)
+                    return static_cast<Slot>(i);
+            }
+            return kNoSlot;
+        }
+        // The LRU candidate is the first minimum in way order among
+        // occupied ways; an empty way beats it, the line's own way
+        // beats both.
+        std::size_t free_way = end;
+        std::size_t lru = end;
+        for (std::size_t i = base; i < end; ++i) {
+            const Addr tag = tags_[i];
+            if (tag == line) {
+                *fill = static_cast<Slot>(i);
+                return static_cast<Slot>(i);
+            }
+            if (tag == kNoTag) {
+                if (free_way == end)
+                    free_way = i;
+            } else if (lru == end || stamps_[i] < stamps_[lru]) {
+                lru = i;
+            }
+        }
+        *fill = static_cast<Slot>(free_way != end ? free_way : lru);
+        return kNoSlot;
+    }
+
+    /** Slot holding a valid copy of @p line; kNoSlot on miss. */
+    Slot
+    findValid(Addr line) const
+    {
+        const Slot s = probe(line);
+        return s != kNoSlot && valid(s) ? s : kNoSlot;
+    }
 
     /**
-     * Invalidate @p line if present.
+     * Install @p line in @p slot (a fill slot from probe()) as valid,
+     * clean and most recently used.
+     * @return the line displaced from the slot
+     */
+    Evicted
+    fill(Slot slot, Addr line)
+    {
+        Evicted out;
+        out.line = tags_[slot];
+        out.valid = (state_[slot] & kValid) != 0;
+        out.dirty = (state_[slot] & kDirty) != 0;
+        tags_[slot] = line;
+        stamps_[slot] = ++stamp_;
+        state_[slot] = kValid;
+        return out;
+    }
+
+    /** Make @p slot most recently used (call on every hit). */
+    void touch(Slot slot) { stamps_[slot] = ++stamp_; }
+
+    /**
+     * Invalidate @p line if it is valid.
      * @param keep_tag keep the tag resident and mark it
-     *        coherenceInvalidated (used by the L1s for coherency-miss
-     *        detection); otherwise the entry is fully cleared
+     *        coherence-invalidated (used by the L1s for coherency-miss
+     *        detection); otherwise the way is emptied
      * @return true if the line was valid
      */
     bool invalidate(Addr line, bool keep_tag = false);
 
+    Addr line(Slot slot) const { return tags_[slot]; }
+    bool valid(Slot slot) const { return (state_[slot] & kValid) != 0; }
+    bool dirty(Slot slot) const { return (state_[slot] & kDirty) != 0; }
+    bool
+    coherenceInvalidated(Slot slot) const
+    {
+        return (state_[slot] & kCoherenceInvalidated) != 0;
+    }
+    /** Mark or clear the dirty bit of a valid line. */
+    void
+    setDirty(Slot slot, bool dirty)
+    {
+        state_[slot] = static_cast<std::uint8_t>(
+            dirty ? state_[slot] | kDirty : state_[slot] & ~kDirty);
+    }
+
     int sets() const { return sets_; }
     int ways() const { return ways_; }
+    /** Number of slots (sets x ways): the bound of every Slot. */
+    Slot size() const { return static_cast<Slot>(tags_.size()); }
 
     /** Number of currently valid entries (test/diagnostic helper). */
     std::uint64_t validCount() const;
 
-    /** Read-only entry storage (whole-cache walks, e.g. L1 flushes).
-     *  Mutation goes through the API so the compact resident-tag index
-     *  stays consistent. */
-    const std::vector<TagEntry> &raw() const { return entries_; }
-
-    /** Clear every entry (flush). */
+    /** Empty every way (flush). */
     void reset();
 
   private:
     /** No line resident in this way slot. */
     static constexpr Addr kNoTag = ~Addr(0);
 
+    /** state_ bits. */
+    static constexpr std::uint8_t kValid = 1;
+    static constexpr std::uint8_t kDirty = 2;
+    static constexpr std::uint8_t kCoherenceInvalidated = 4;
+
     SetAssocArray(int sets, int ways, bool);
-
-    TagEntry *entryAt(std::uint64_t set, int way);
-
-    /** Resident (valid or coherence-invalidated) entry for @p line. */
-    TagEntry *
-    findResident(Addr line)
-    {
-        const std::size_t base = static_cast<std::size_t>(
-            setIndex(line) * static_cast<std::uint64_t>(ways_));
-        for (int w = 0; w < ways_; ++w) {
-            // insert() never duplicates a line within a set, so the
-            // first tag match is the only one.
-            if (tags_[base + static_cast<std::size_t>(w)] == line)
-                return &entries_[base + static_cast<std::size_t>(w)];
-        }
-        return nullptr;
-    }
 
     int sets_;
     int ways_;
-    std::vector<TagEntry> entries_;
-    /** Resident line number per way slot (kNoTag when empty); the
-     *  probe array all lookups scan. */
     std::vector<Addr> tags_;
-    /** Mirror of each entry's lruStamp, so the replacement scan reads
-     *  8 bytes per way instead of whole TagEntry records. */
     std::vector<std::uint64_t> stamps_;
+    std::vector<std::uint8_t> state_;
     std::uint64_t stamp_ = 0;
 };
 

@@ -66,15 +66,6 @@ validateSpec(const JobSpec &spec)
         throw std::invalid_argument(
             "job '" + label + "': nthreads must be >= 1, got " +
             std::to_string(nthreads));
-    // simulate() runs nthreads threads on ncoresEffective() cores, and
-    // the cache hierarchy's sharers bitmap caps the machine size:
-    // reject here so an oversized job fails cleanly instead of
-    // panicking the whole process.
-    if (nthreads > kMaxSimCores)
-        throw std::invalid_argument(
-            "job '" + label + "': nthreads " + std::to_string(nthreads) +
-            " exceeds the " + std::to_string(kMaxSimCores) +
-            "-core simulator limit");
     if (spec.ncores < 0)
         throw std::invalid_argument(
             "job '" + label + "': ncores must be >= 0 "
@@ -84,6 +75,15 @@ validateSpec(const JobSpec &spec)
             "job '" + label + "': ncores " + std::to_string(spec.ncores) +
             " exceeds nthreads " + std::to_string(nthreads) +
             " (idle cores cannot speed up the run)");
+    // simulate() runs nthreads threads on ncoresEffective() cores, and
+    // the cache hierarchy's sharers bitmap caps the core count (not the
+    // thread count): reject here so an oversized machine fails cleanly
+    // instead of panicking the whole process.
+    if (spec.ncoresEffective() > kMaxSimCores)
+        throw std::invalid_argument(
+            "job '" + label + "': " +
+            std::to_string(spec.ncoresEffective()) + " cores exceed the " +
+            std::to_string(kMaxSimCores) + "-core simulator limit");
     for (const WorkloadGroup &g : spec.workload.groups) {
         if (g.profile.totalIters == 0)
             throw std::invalid_argument(

@@ -144,6 +144,15 @@ sstAssert(bool cond, const std::string &msg)
         panic(msg);
 }
 
+/** sstAssert() for literal messages: builds no string unless it fires,
+ *  so per-access invariant checks cost one compare. */
+inline void
+sstAssert(bool cond, const char *msg)
+{
+    if (!cond)
+        panic(msg);
+}
+
 } // namespace sst
 
 #endif // SST_UTIL_LOGGING_HH

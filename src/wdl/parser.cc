@@ -8,6 +8,7 @@
  * that fingerprints and trace hashes are built from.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -331,11 +332,26 @@ class Parser
         return s;
     }
 
+    /** Reject a statement that could emit more than kMaxStatementOps
+     *  ops; @p ops is its worst case. */
+    void
+    checkStatementOps(const Token &at, const std::string &what,
+                      std::uint64_t ops)
+    {
+        if (ops > kMaxStatementOps)
+            fail(at, what + " exceeds the per-statement limit of " +
+                         std::to_string(kMaxStatementOps) +
+                         " ops; wrap a smaller statement in a loop");
+    }
+
     void
     parseMemory(Stmt &s)
     {
         s.kind = Stmt::Kind::kMemory;
+        const Token at = peek();
         s.count = parseDist("a reference count");
+        checkStatementOps(at, "memory count " + std::to_string(s.count.max()),
+                          s.count.max());
         while (peek().kind == TokKind::kIdent) {
             if (peekIdent("shared")) {
                 next();
@@ -445,6 +461,13 @@ class Parser
         }
         if (!haveLocks)
             fail(kw, "txn needs locks=NAME naming the lock array it keys into");
+        // Each transaction op is acquire + compute + references +
+        // release. Clamping both factors to the limit keeps the product
+        // exact below it and over it whenever either factor is.
+        const std::uint64_t txns = std::min(s.count.max(), kMaxStatementOps);
+        const std::uint64_t refs =
+            std::min(s.csMemory.max(), kMaxStatementOps);
+        checkStatementOps(kw, "txn_ops x (3 + memory)", txns * (3 + refs));
     }
 
     int

@@ -47,6 +47,10 @@ inline constexpr std::uint64_t kMaxLockIds = 1024;
 /** Largest private/shared region a group may request. */
 inline constexpr std::uint64_t kMaxRegionBytes = 64ull * 1024 * 1024;
 
+/** Most ops one `memory` or `txn` statement may emit. The compiler
+ *  buffers a statement's ops in one go, so this bounds its memory. */
+inline constexpr std::uint64_t kMaxStatementOps = std::uint64_t(1) << 20;
+
 /** A cycle/count argument: a constant or a uniform integer range. */
 struct Dist
 {
@@ -56,6 +60,8 @@ struct Dist
     std::uint64_t b = 0; ///< uniform hi (inclusive)
 
     bool isConst() const { return kind == Kind::kConst; }
+    /** Largest value draw() can return. */
+    std::uint64_t max() const { return isConst() ? a : b; }
     std::uint64_t draw(Rng &rng) const;
 };
 

@@ -136,63 +136,8 @@ ThreadProgram::refill()
     buf_.clear();
     cursor_ = 0;
 
-    // Pre-RoI warmup, mirroring SPLASH-2/PARSEC methodology: every
-    // thread sweeps its private region once so the measured region of
-    // interest starts with warm caches (the paper's results are gathered
-    // from the parallel fraction with the same property). A barrier
-    // aligns the threads, then kRoiBegin resets the measurements.
     if (!warmupDone_) {
-        warmupDone_ = true;
-        const std::uint64_t lines =
-            std::max<std::uint64_t>(prof_.privateBytes, kLineBytes) /
-            kLineBytes;
-        for (std::uint64_t l = 0; l < lines; ++l) {
-            buf_.push_back(Op::load(
-                addrmap::privateBase(dataTid_) + l * kLineBytes, 0x30000));
-        }
-        // Re-touch the hot window last so it is MRU when measurement
-        // starts; otherwise the LRU sweep order would leave exactly the
-        // lines the RoI uses first in line for eviction, creating an
-        // artificial inter-thread miss burst at RoI start.
-        const std::uint64_t priv_hot =
-            (prof_.privateHotBytes == 0
-                 ? std::max<std::uint64_t>(prof_.privateBytes, kLineBytes)
-                 : std::min<std::uint64_t>(prof_.privateHotBytes,
-                                           prof_.privateBytes)) /
-            kLineBytes;
-        if (priv_hot < lines) {
-            for (std::uint64_t l = 0; l < priv_hot; ++l) {
-                buf_.push_back(Op::load(
-                    addrmap::privateBase(dataTid_) + l * kLineBytes,
-                    0x30001));
-            }
-        }
-        // Also sweep the initial shared hot window so steady-state
-        // positive interference reflects window movement, not the
-        // first-touch transient (each core's ATD must know the lines a
-        // private cache would already hold).
-        const std::uint64_t hot = std::min<std::uint64_t>(
-            prof_.sharedHotBytes, prof_.sharedBytes);
-        if (prof_.sharedFrac > 0.0 && hot > 0) {
-            for (std::uint64_t l = 0; l < hot / kLineBytes; ++l) {
-                buf_.push_back(Op::load(
-                    scope_.sharedBase + l * kLineBytes, 0x30010));
-            }
-        }
-        // Lock-protected data regions are shared too: sweep them so CS
-        // accesses do not register as first-touch positive interference.
-        for (int lk = 0; lk < prof_.numLocks; ++lk) {
-            for (Addr l = 0; l < 4096 / kLineBytes; ++l) {
-                buf_.push_back(Op::load(
-                    addrmap::lockDataBase(lk + scope_.lockIdOffset) +
-                        l * kLineBytes,
-                    0x30020));
-            }
-        }
-        if (parallelMode())
-            buf_.push_back(Op::barrier(kWarmupBarrierId +
-                                       scope_.barrierIdOffset));
-        buf_.push_back(Op::roiBegin());
+        emitWarmup();
         return;
     }
 
@@ -222,6 +167,80 @@ ThreadProgram::refill()
             return;
         }
     }
+}
+
+void
+ThreadProgram::emitWarmup()
+{
+    // Pre-RoI warmup, mirroring SPLASH-2/PARSEC methodology: every
+    // thread sweeps its private region once so the measured region of
+    // interest starts with warm caches (the paper's results are gathered
+    // from the parallel fraction with the same property). A barrier
+    // aligns the threads, then kRoiBegin resets the measurements.
+    //
+    // The sweeps run to hundreds of thousands of loads (an 8 MB private
+    // region is 131,072 lines), so each refill emits the next
+    // kWarmupChunk of them, resuming at warmupEmitted_, rather than
+    // buffering them all for every thread at once.
+    struct Sweep
+    {
+        Addr base;
+        std::uint64_t lines;
+        PC pc;
+    };
+    std::vector<Sweep> sweeps;
+    const Addr priv = addrmap::privateBase(dataTid_);
+    const std::uint64_t lines =
+        std::max<std::uint64_t>(prof_.privateBytes, kLineBytes) / kLineBytes;
+    sweeps.push_back({priv, lines, 0x30000});
+    // Re-touch the hot window last so it is MRU when measurement
+    // starts; otherwise the LRU sweep order would leave exactly the
+    // lines the RoI uses first in line for eviction, creating an
+    // artificial inter-thread miss burst at RoI start.
+    const std::uint64_t priv_hot =
+        (prof_.privateHotBytes == 0
+             ? std::max<std::uint64_t>(prof_.privateBytes, kLineBytes)
+             : std::min<std::uint64_t>(prof_.privateHotBytes,
+                                       prof_.privateBytes)) /
+        kLineBytes;
+    if (priv_hot < lines)
+        sweeps.push_back({priv, priv_hot, 0x30001});
+    // Also sweep the initial shared hot window so steady-state
+    // positive interference reflects window movement, not the
+    // first-touch transient (each core's ATD must know the lines a
+    // private cache would already hold).
+    const std::uint64_t hot =
+        std::min<std::uint64_t>(prof_.sharedHotBytes, prof_.sharedBytes);
+    if (prof_.sharedFrac > 0.0 && hot > 0)
+        sweeps.push_back({scope_.sharedBase, hot / kLineBytes, 0x30010});
+    // Lock-protected data regions are shared too: sweep them so CS
+    // accesses do not register as first-touch positive interference.
+    for (int lk = 0; lk < prof_.numLocks; ++lk) {
+        sweeps.push_back({addrmap::lockDataBase(lk + scope_.lockIdOffset),
+                          4096 / kLineBytes, 0x30020});
+    }
+
+    std::uint64_t skip = warmupEmitted_;
+    for (const Sweep &sw : sweeps) {
+        if (skip >= sw.lines) {
+            skip -= sw.lines;
+            continue;
+        }
+        for (std::uint64_t l = skip; l < sw.lines; ++l) {
+            if (buf_.size() == kWarmupChunk)
+                return;
+            buf_.push_back(Op::load(sw.base + l * kLineBytes, sw.pc));
+            ++warmupEmitted_;
+        }
+        skip = 0;
+    }
+    if (!buf_.empty())
+        return; // the rendezvous goes in the next refill
+    warmupDone_ = true;
+    if (parallelMode())
+        buf_.push_back(
+            Op::barrier(kWarmupBarrierId + scope_.barrierIdOffset));
+    buf_.push_back(Op::roiBegin());
 }
 
 void

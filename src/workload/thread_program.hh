@@ -93,6 +93,8 @@ class ThreadProgram : public OpSource
 
   private:
     void refill();
+    /** Next chunk of the pre-RoI warmup (see kWarmupChunk). */
+    void emitWarmup();
     void emitIteration();
     void emitMemRef(bool isStore, Addr addr);
     Addr pickDataAddr();
@@ -117,7 +119,11 @@ class ThreadProgram : public OpSource
     int phase_ = 0;
     std::uint64_t phaseItersLeft_ = 0;
     bool phaseInitDone_ = false;
+    /** Most warmup loads one refill buffers. */
+    static constexpr std::size_t kWarmupChunk = 256;
+
     bool warmupDone_ = false;
+    std::uint64_t warmupEmitted_ = 0; ///< warmup loads emitted so far
     bool finished_ = false;
 
     std::uint64_t instrEmitted_ = 0;

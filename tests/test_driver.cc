@@ -380,6 +380,35 @@ TEST(Driver, EmptyProfileFailsCleanly)
     EXPECT_NE(results[0].error.find("totalIters"), std::string::npos);
 }
 
+TEST(Driver, CoreLimitBoundsCoresNotThreads)
+{
+    // The sharers bitmap caps simulated cores; oversubscribed threads
+    // beyond it are fine.
+    BenchmarkProfile small = test::computeOnlyProfile();
+    small.totalIters = 256;
+    JobSpec wide = makeJob(small, 2 * kMaxSimCores);
+    wide.ncores = kMaxSimCores;
+    JobSpec too_many_cores = makeJob(small, kMaxSimCores + 1);
+    too_many_cores.ncores = kMaxSimCores + 1;
+    JobSpec implicit_cores = makeJob(small, kMaxSimCores + 1);
+    implicit_cores.ncores = 0; // 0 = one core per thread
+
+    const std::vector<JobResult> results = runExperimentBatch(
+        {wide, too_many_cores, implicit_cores}, DriverOptions{});
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_TRUE(results[0].ok()) << results[0].error;
+    EXPECT_EQ(results[0].exp.nthreads, 2 * kMaxSimCores);
+    EXPECT_GT(results[0].exp.actualSpeedup, 0.0);
+    const std::string message =
+        std::to_string(kMaxSimCores + 1) + " cores exceed the " +
+        std::to_string(kMaxSimCores) + "-core simulator limit";
+    for (std::size_t i = 1; i < results.size(); ++i) {
+        EXPECT_FALSE(results[i].ok()) << i;
+        EXPECT_NE(results[i].error.find(message), std::string::npos)
+            << results[i].error;
+    }
+}
+
 // ---- sweep grids and export ------------------------------------------------
 
 TEST(Sweep, ExpandGridIsProfileMajorCrossProduct)

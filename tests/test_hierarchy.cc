@@ -2,12 +2,18 @@
  * @file
  * Unit tests for the cache hierarchy: L1/LLC paths, MSI coherence,
  * coherency-miss classification, inter-thread classification, inclusion
- * and writebacks.
+ * and writebacks; the inclusion invariant behind the L1 -> LLC
+ * back-pointers under random streams; and per-core counters pinned on
+ * seeded streams.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "cache/hierarchy.hh"
+#include "util/rng.hh"
 
 namespace sst {
 namespace {
@@ -206,6 +212,173 @@ TEST(Hierarchy, OracleAtdsTrackEverything)
     h.access(0, 0x100 * kLineBytes, false);
     const AccessOutcome out = h.access(1, 0x100 * kLineBytes, false);
     EXPECT_TRUE(out.oracleInterThreadHit);
+}
+
+// ---- seeded streams -------------------------------------------------------
+
+/**
+ * Drive @p h with a seeded stream. Each access picks a random core and
+ * one of three address classes:
+ *   - the core's hot line, which stays MRU in its L1 but ages in the
+ *     LLC (L1 hits do not touch LLC stamps), so LLC misses keep
+ *     back-invalidating lines in the requesting core's own L1 set;
+ *   - one of 32 lines shared by every core (upgrades, invalidations,
+ *     dirty transfers, coherency misses);
+ *   - a line from a footprint four times the LLC (capacity misses).
+ * About one step in 500 flushes the chosen core's L1 instead.
+ * @p after_each runs after every step.
+ */
+template <typename AfterEach>
+void
+driveStream(CacheHierarchy &h, std::uint64_t seed, int steps,
+            AfterEach &&after_each)
+{
+    Rng rng(seed);
+    const Addr llc_lines = h.params().llcBytes / kLineBytes;
+    for (int i = 0; i < steps; ++i) {
+        const CoreId core = static_cast<CoreId>(
+            rng.below(static_cast<std::uint64_t>(h.ncores())));
+        if (rng.chance(0.002)) {
+            h.flushL1(core);
+            after_each();
+            continue;
+        }
+        Addr line = 0;
+        switch (rng.below(4)) {
+        case 0:
+            line = 4 * llc_lines + static_cast<Addr>(core);
+            break;
+        case 1:
+            line = 4 * llc_lines + 1024 + rng.below(32);
+            break;
+        default:
+            line = rng.below(4 * llc_lines);
+            break;
+        }
+        h.access(core, line * kLineBytes, rng.chance(0.3));
+        after_each();
+    }
+}
+
+/** Every valid L1 line's back-pointer names a valid LLC slot holding
+ *  the line, with the core's sharer bit set. */
+void
+expectInclusion(const CacheHierarchy &h, int step)
+{
+    const SetAssocArray &llc = h.llc();
+    for (CoreId c = 0; c < h.ncores(); ++c) {
+        const SetAssocArray &l1 = h.l1(c);
+        for (SetAssocArray::Slot s = 0; s < l1.size(); ++s) {
+            if (!l1.valid(s))
+                continue;
+            const SetAssocArray::Slot dir = h.l1LlcSlot(c, s);
+            ASSERT_LT(dir, llc.size()) << "core " << c << " step " << step;
+            ASSERT_TRUE(llc.valid(dir)) << "core " << c << " step " << step;
+            ASSERT_EQ(llc.line(dir), l1.line(s))
+                << "core " << c << " step " << step;
+            ASSERT_NE(h.sharers(dir) & (std::uint64_t(1) << c), 0u)
+                << "core " << c << " step " << step;
+        }
+    }
+}
+
+class HierarchyStreams : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(HierarchyStreams, BackPointersKeepInclusion)
+{
+    const int ncores = GetParam();
+    CacheHierarchy h(ncores, smallParams());
+    int step = 0;
+    driveStream(h, 1000 + static_cast<std::uint64_t>(ncores), 4000,
+                [&] { expectInclusion(h, step++); });
+    EXPECT_EQ(step, 4000);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cores, HierarchyStreams,
+                         ::testing::Values(1, 4, 16, 64));
+
+/** A core's CacheStats as one array, in declaration order. */
+std::array<std::uint64_t, 12>
+fields(const CacheStats &s)
+{
+    return {s.l1Accesses,
+            s.l1Hits,
+            s.coherencyMisses,
+            s.llcAccesses,
+            s.llcHits,
+            s.llcMisses,
+            s.interThreadHitsSampled,
+            s.interThreadMissesSampled,
+            s.oracleInterThreadHits,
+            s.oracleInterThreadMisses,
+            s.invalidationsReceived,
+            s.writebacks};
+}
+
+// The expected counters below were captured from the cache model
+// before it moved to per-slot state; the layout change must not move
+// any of them.
+
+TEST(HierarchyPinned, FourCoreStreamCounters)
+{
+    CacheHierarchy h(4, smallParams());
+    driveStream(h, 4, 20000, [] {});
+    const std::array<std::array<std::uint64_t, 12>, 4> expected = {{
+        {5040, 1724, 182, 3316, 1370, 1946, 384, 251, 0, 0, 450, 639},
+        {5037, 1711, 156, 3326, 1364, 1962, 370, 260, 0, 0, 429, 630},
+        {4931, 1654, 175, 3277, 1359, 1918, 372, 242, 0, 0, 434, 573},
+        {4957, 1696, 169, 3261, 1337, 1924, 388, 242, 0, 0, 437, 557},
+    }};
+    for (CoreId c = 0; c < 4; ++c)
+        EXPECT_EQ(fields(h.stats(c)), expected[static_cast<std::size_t>(c)])
+            << "core " << c;
+}
+
+TEST(HierarchyPinned, SixtyFourCoreStreamCounters)
+{
+    // Hits the re-probe after a back-invalidation frees a way in the
+    // requesting core's L1 set: skipping it moves coherencyMisses.
+    CacheHierarchy h(64, smallParams());
+    driveStream(h, 64, 40000, [] {});
+    std::array<std::uint64_t, 12> totals{};
+    std::uint64_t digest = 0xcbf29ce484222325ULL; // FNV-1a, per byte
+    for (CoreId c = 0; c < 64; ++c) {
+        const std::array<std::uint64_t, 12> f = fields(h.stats(c));
+        for (std::size_t i = 0; i < f.size(); ++i) {
+            totals[i] += f[i];
+            for (int b = 0; b < 8; ++b) {
+                digest ^= (f[i] >> (8 * b)) & 0xff;
+                digest *= 0x100000001b3ULL;
+            }
+        }
+    }
+    const std::array<std::uint64_t, 12> expected = {
+        39911, 9260, 4685, 30651, 13770, 16881,
+        6178,  1555, 0,    0,     10528, 6201};
+    EXPECT_EQ(totals, expected);
+    EXPECT_EQ(digest, 0xbe78e72e1535083aULL);
+}
+
+TEST(HierarchyPinned, BackInvalidatedWayIsReusedByTheFill)
+{
+    // Hot line A stays MRU in the L1 but LRU in the LLC. The 8th
+    // conflicting line B8 evicts A from the LLC, back-invalidating A
+    // out of the same L1 set; B8 must take A's freed way, not evict
+    // the L1's LRU line B5.
+    CacheParams params = smallParams();
+    CacheHierarchy h(1, params);
+    const Addr llc_sets = params.llcBytes / kLineBytes /
+                          static_cast<Addr>(params.llcWays);
+    for (Addr i = 1; i <= 8; ++i) {
+        h.access(0, 0, false);
+        h.access(0, i * llc_sets * kLineBytes, false);
+    }
+    EXPECT_TRUE(h.access(0, 5 * llc_sets * kLineBytes, false).l1Hit);
+    const std::array<std::uint64_t, 12> expected = {17, 8, 0, 9, 0, 9,
+                                                    0,  0, 0, 0, 0, 0};
+    EXPECT_EQ(fields(h.stats(0)), expected);
 }
 
 } // namespace

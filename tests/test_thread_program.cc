@@ -194,5 +194,48 @@ TEST(ThreadProgram, WarmupSweepsPrivateRegion)
     EXPECT_GE(warmup_loads, 64);
 }
 
+TEST(ThreadProgram, WarmupSweepOrderSurvivesChunkedEmission)
+{
+    // Sweeps longer than one refill: private region, private hot
+    // re-touch, shared hot window, two lock data regions, then the
+    // warmup barrier and RoI start, each sweep line by line in order.
+    BenchmarkProfile p = test::computeOnlyProfile();
+    p.privateBytes = 64 * 1024; // 1024 lines
+    p.privateHotBytes = 4 * 1024;
+    p.sharedBytes = 128 * 1024;
+    p.sharedHotBytes = 8 * 1024;
+    p.sharedFrac = 0.1;
+    p.numLocks = 2;
+    p.lockFreq = 0.1;
+    ThreadProgram prog(p, 1, 2);
+
+    struct Sweep
+    {
+        Addr base;
+        std::uint64_t lines;
+        PC pc;
+    };
+    const Sweep sweeps[] = {
+        {addrmap::privateBase(1), 1024, 0x30000},
+        {addrmap::privateBase(1), 64, 0x30001},
+        {addrmap::kSharedBase, 128, 0x30010},
+        {addrmap::lockDataBase(0), 64, 0x30020},
+        {addrmap::lockDataBase(1), 64, 0x30020},
+    };
+    for (const Sweep &sw : sweeps) {
+        for (std::uint64_t l = 0; l < sw.lines; ++l) {
+            const Op op = prog.nextOp();
+            ASSERT_EQ(op.type, OpType::kLoad)
+                << "pc " << sw.pc << " line " << l;
+            ASSERT_EQ(op.addr, sw.base + l * kLineBytes);
+            ASSERT_EQ(op.pc, sw.pc);
+        }
+    }
+    const Op barrier = prog.nextOp();
+    EXPECT_EQ(barrier.type, OpType::kBarrier);
+    EXPECT_EQ(barrier.id, static_cast<int>(kWarmupBarrierId));
+    EXPECT_EQ(prog.nextOp().type, OpType::kRoiBegin);
+}
+
 } // namespace
 } // namespace sst

@@ -232,6 +232,82 @@ TEST(WdlDiagnostics, SyncInsideCriticalSectionRejected)
                      "", "bad.wdl:");
 }
 
+TEST(WdlDiagnostics, OversizedTxnReproducerRejectedWithFileLine)
+{
+    const std::string path =
+        std::string(SST_TESTS_DATA_DIR) + "/wdl_txn_oom.wdl";
+    try {
+        wdl::loadProgram(path);
+        FAIL() << "expected the per-statement op limit to reject " << path;
+    } catch (const std::invalid_argument &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("wdl_txn_oom.wdl:6"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("per-statement limit"), std::string::npos)
+            << msg;
+    }
+}
+
+TEST(WdlDiagnostics, StatementOpCountsAreBounded)
+{
+    const std::string limit = std::to_string(wdl::kMaxStatementOps);
+    const std::string over = std::to_string(wdl::kMaxStatementOps + 1);
+    // memory: the largest draw of the count.
+    expectParseError("wdl 1\ngroup g threads=1 {\n  memory " + over +
+                         "\n}\n",
+                     "per-statement limit", "bad.wdl:3");
+    expectParseError("wdl 1\ngroup g threads=1 {\n  memory uniform(1, " +
+                         over + ")\n}\n",
+                     "per-statement limit", "bad.wdl:3");
+    wdl::parseProgram("wdl 1\ngroup g threads=1 {\n  memory " + limit +
+                          "\n}\n",
+                      "ok.wdl");
+    // txn: txn_ops x (3 + memory), including factors that would
+    // overflow a naive product.
+    const char *head = "wdl 1\nlock k[4]\ngroup g threads=2 {\n  txn ";
+    expectParseError(std::string(head) +
+                         "locks=k txn_ops=262144 memory=2\n}\n",
+                     "per-statement limit", "bad.wdl:4");
+    expectParseError(std::string(head) +
+                         "locks=k txn_ops=2 memory=18446744073709551615\n}\n",
+                     "per-statement limit", "bad.wdl:4");
+    expectParseError(std::string(head) +
+                         "locks=k txn_ops=uniform(0, 18446744073709551615)"
+                         " memory=0\n}\n",
+                     "per-statement limit", "bad.wdl:4");
+    wdl::parseProgram(std::string(head) +
+                          "locks=k txn_ops=209715 memory=2\n}\n",
+                      "ok.wdl");
+    wdl::parseProgram(std::string(head) +
+                          "locks=k txn_ops=0 memory=18446744073709551615\n"
+                          "}\n",
+                      "ok.wdl");
+}
+
+TEST(WdlDiagnostics, ShippedWorkloadsStayWithinTheOpLimit)
+{
+    const std::filesystem::path examples =
+        std::filesystem::path(SST_TESTS_DATA_DIR) / ".." / ".." /
+        "examples" / "workloads";
+    int parsed = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(examples)) {
+        if (entry.path().extension() != ".wdl")
+            continue;
+        EXPECT_NO_THROW(wdl::loadProgram(entry.path().string()))
+            << entry.path();
+        ++parsed;
+    }
+    EXPECT_GE(parsed, 4);
+    // The txn loop the repository benchmark generates.
+    EXPECT_NO_THROW(wdl::parseProgram(
+        "wdl 1\nworkload \"txn\"\nseed 7\nlock keys[64]\n\n"
+        "group clients threads=16 private=128K {\n"
+        "  loop 16000 {\n"
+        "    txn txn_ops=16 rw_ratio=0.5 locks=keys zipf(0.99) "
+        "compute=uniform(10, 30) memory=2\n"
+        "  }\n}\n",
+        "bench.wdl"));
+}
+
 // ---- compiled op streams ---------------------------------------------------
 
 TEST(WdlCompiler, StreamsAreDeterministicAndEndOnce)
