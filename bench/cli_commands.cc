@@ -1,19 +1,12 @@
 #include "cli_commands.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cinttypes>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cli_common.hh"
@@ -22,15 +15,10 @@
 #include "driver/job.hh"
 #include "driver/result_cache.hh"
 #include "driver/sweep.hh"
-#include "serve/net.hh"
-#include "serve/protocol.hh"
-#include "serve/server.hh"
-#include "serve/worker.hh"
 #include "trace/trace_format.hh"
 #include "sched/policy.hh"
 #include "spec/registries.hh"
 #include "spec/spec.hh"
-#include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "trace/trace_run.hh"
 #include "util/format.hh"
@@ -153,10 +141,8 @@ executeBatch(const SweepGrid &grid, const DriverOptions &opts, bool quiet,
              const std::string &trace_out)
 {
     const bool tracing = !trace_out.empty();
-    if (tracing) {
-        telemetry::Registry::global().setEnabled(true);
+    if (tracing)
         telemetry::SpanTracer::global().setEnabled(true);
-    }
 
     const std::vector<JobSpec> jobs = expandGrid(grid);
     ExperimentDriver driver(opts);
@@ -190,7 +176,7 @@ void
 sweepUsage()
 {
     std::printf(
-        "usage: sweep [options]\n"
+        "usage: sst sweep [options]\n"
         "  --profiles all|A,B,...  benchmark labels (default: all)\n"
         "  --mix LIST              heterogeneous workloads: registered\n"
         "                          mixes/pipelines (`sst list mixes`) or\n"
@@ -212,7 +198,7 @@ sweepUsage()
         "  --no-cache              disable the result cache\n"
         "  --refresh               re-run and overwrite cached results\n"
         "  --trace-dir DIR         replay recorded op traces from DIR\n"
-        "                          (see `trace record --trace-dir`)\n"
+        "                          (see `sst trace record --trace-dir`)\n"
         "  --record-dir DIR        capture .sstt traces of live jobs\n"
         "                          into DIR as the batch runs (cache\n"
         "                          hits skip capture)\n"
@@ -235,7 +221,7 @@ void
 traceUsage()
 {
     std::printf(
-        "usage: trace <record|replay|info> [options]\n"
+        "usage: sst trace <record|replay|info> [options]\n"
         "  record --profile LABEL [--threads N] (--out FILE | "
         "--trace-dir DIR)\n"
         "         [--seed-offset K] [--sched POLICY] [--sched-seed K]\n"
@@ -611,434 +597,6 @@ listUsage()
     return 0;
 }
 
-// ---- serve / worker / submit ------------------------------------------------
-
-/** Set by SIGINT/SIGTERM so `sst serve` shuts down cleanly. */
-volatile std::sig_atomic_t gServeStop = 0;
-
-void
-serveSignalHandler(int)
-{
-    gServeStop = 1;
-}
-
-void
-serveUsage()
-{
-    std::printf(
-        "usage: sst serve [options]\n"
-        "run the persistent sweep service: accepts campaigns over a\n"
-        "socket, schedules them on a crash-safe job queue, and streams\n"
-        "incremental results (see `sst submit` and `sst worker`)\n"
-        "  --socket PATH           Unix socket (default: "
-        ".sst-serve.sock)\n"
-        "  --tcp PORT              listen on TCP 127.0.0.1:PORT instead\n"
-        "                          (0 picks a free port, printed below)\n"
-        "  --jobs N                in-process worker threads (default:\n"
-        "                          0 — jobs run on external `sst "
-        "worker`\n"
-        "                          processes only)\n"
-        "  --cache-dir DIR         result cache (default: .sst-cache);\n"
-        "                          completed jobs from every worker "
-        "land\n"
-        "                          here, and restarts resume from it\n"
-        "  --no-cache              disable the result cache\n"
-        "  --journal FILE          campaign journal (default:\n"
-        "                          .sst-serve.journal); restarts replay "
-        "it\n"
-        "  --no-journal            disable crash-safe persistence\n"
-        "  --trace-dir DIR         replay recorded op traces from DIR\n"
-        "  --lease-ms K            worker lease duration (default: "
-        "30000)\n"
-        "  --max-attempts K        leases before a job fails (default: "
-        "3)\n"
-        "  --backoff-ms K          requeue backoff base (default: "
-        "1000)\n"
-        "the server exits once drained (`sst submit --drain`) or on "
-        "SIGINT\n");
-}
-
-int
-serveImpl(int argc, char **argv, int first)
-{
-    serve::ServerOptions opts;
-    std::string socketPath = ".sst-serve.sock";
-    int tcpPort = -1;
-    opts.driver.jobs = 1;
-    opts.driver.cacheDir = ".sst-cache";
-    std::string journalPath = ".sst-serve.journal";
-
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--socket") {
-            socketPath = argValue(argc, argv, i);
-        } else if (arg == "--tcp") {
-            tcpPort = parseInt("--tcp", argValue(argc, argv, i), 0, 65535);
-        } else if (arg == "--jobs") {
-            opts.localWorkers =
-                parseInt("--jobs", argValue(argc, argv, i), 0, 1 << 10);
-        } else if (arg == "--cache-dir") {
-            opts.driver.cacheDir = argValue(argc, argv, i);
-        } else if (arg == "--no-cache") {
-            opts.driver.cacheDir.clear();
-        } else if (arg == "--journal") {
-            journalPath = argValue(argc, argv, i);
-        } else if (arg == "--no-journal") {
-            journalPath.clear();
-        } else if (arg == "--trace-dir") {
-            opts.driver.traceDir = argValue(argc, argv, i);
-        } else if (arg == "--lease-ms") {
-            opts.queue.leaseMs =
-                parseU64("--lease-ms", argValue(argc, argv, i));
-        } else if (arg == "--max-attempts") {
-            opts.queue.maxAttempts = parseInt(
-                "--max-attempts", argValue(argc, argv, i), 1, 1000);
-        } else if (arg == "--backoff-ms") {
-            opts.queue.backoffBaseMs =
-                parseU64("--backoff-ms", argValue(argc, argv, i));
-        } else if (arg == "--help" || arg == "-h") {
-            serveUsage();
-            return 0;
-        } else {
-            serveUsage();
-            fatal("unknown argument '" + arg + "'");
-        }
-    }
-    if (tcpPort >= 0) {
-        opts.endpoint.tcp = true;
-        opts.endpoint.port = tcpPort;
-    } else {
-        opts.endpoint.path = socketPath;
-    }
-    opts.journalPath = journalPath;
-
-    std::signal(SIGINT, serveSignalHandler);
-    std::signal(SIGTERM, serveSignalHandler);
-
-    serve::Server server(opts);
-    server.start();
-    std::printf("serving on %s\n", server.endpoint().text().c_str());
-    std::fflush(stdout);
-
-    while (gServeStop == 0 && !server.finished())
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const bool drained = server.finished();
-    server.stop();
-    std::printf(drained ? "server drained\n" : "server stopped\n");
-    return 0;
-}
-
-void
-workerUsage()
-{
-    std::printf(
-        "usage: sst worker --connect ENDPOINT [options]\n"
-        "lease and execute jobs from a running `sst serve` instance\n"
-        "  --connect ENDPOINT      socket path or tcp:host:port\n"
-        "                          (default: .sst-serve.sock)\n"
-        "  --name NAME             worker identity (default: "
-        "worker-<pid>)\n"
-        "  --cache-dir DIR         worker-side result cache (default:\n"
-        "                          none — the server caches results)\n"
-        "  --trace-dir DIR         replay recorded op traces from DIR\n"
-        "  --poll-ms K             idle poll interval (default: 200)\n"
-        "  --retries K             tolerated consecutive connection\n"
-        "                          failures (default: 30)\n"
-        "  --verbose               log every lease and completion\n"
-        "exits 0 when the server drains, 1 when it stays unreachable\n");
-}
-
-int
-workerImpl(int argc, char **argv, int first)
-{
-    serve::WorkerOptions opts;
-    std::string endpoint = ".sst-serve.sock";
-    opts.driver.jobs = 1;
-
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--connect") {
-            endpoint = argValue(argc, argv, i);
-        } else if (arg == "--name") {
-            opts.name = argValue(argc, argv, i);
-        } else if (arg == "--cache-dir") {
-            opts.driver.cacheDir = argValue(argc, argv, i);
-        } else if (arg == "--trace-dir") {
-            opts.driver.traceDir = argValue(argc, argv, i);
-        } else if (arg == "--poll-ms") {
-            opts.pollMs = parseU64("--poll-ms", argValue(argc, argv, i));
-        } else if (arg == "--retries") {
-            opts.connectRetries =
-                parseInt("--retries", argValue(argc, argv, i), 0, 1 << 20);
-        } else if (arg == "--verbose") {
-            opts.verbose = true;
-        } else if (arg == "--help" || arg == "-h") {
-            workerUsage();
-            return 0;
-        } else {
-            workerUsage();
-            fatal("unknown argument '" + arg + "'");
-        }
-    }
-    opts.endpoint = serve::parseEndpoint(endpoint);
-    return serve::runWorker(opts);
-}
-
-void
-submitUsage()
-{
-    std::printf(
-        "usage: sst submit [--connect ENDPOINT] <action>\n"
-        "client for a running `sst serve` instance\n"
-        "  --connect ENDPOINT      socket path or tcp:host:port\n"
-        "                          (default: .sst-serve.sock)\n"
-        "actions (exactly one):\n"
-        "  --spec FILE             submit the spec as a campaign\n"
-        "    --name NAME           campaign name (default: file stem)\n"
-        "    --priority K          queue priority (default: 0)\n"
-        "    --wait                stream results once submitted\n"
-        "  --results NAME          stream a campaign's results\n"
-        "    --json                JSON rows instead of CSV\n"
-        "    --no-wait             don't block on unsettled jobs\n"
-        "  --status                queue and campaign counters\n"
-        "  --cancel NAME           cancel a campaign's pending jobs\n"
-        "  --drain                 stop the server once work finishes\n"
-        "  --ping                  liveness probe\n"
-        "  --csv FILE              write streamed rows to FILE\n"
-        "                          (default: stdout)\n");
-}
-
-/** Send one request on a fresh connection (the protocol's unit). */
-serve::Socket
-clientRequest(const serve::Endpoint &ep, const serve::Request &req)
-{
-    serve::Socket sock = serve::connectTo(ep);
-    sock.writeAll(serve::serializeRequest(req) + "\n");
-    sock.shutdownWrite();
-    return sock;
-}
-
-/** One-line request/reply; prints the reply. Returns 0 on `ok ...`. */
-int
-simpleRequest(const serve::Endpoint &ep, const serve::Request &req)
-{
-    serve::Socket sock = clientRequest(ep, req);
-    std::string reply;
-    if (!sock.readLine(reply))
-        fatal("server closed the connection");
-    std::printf("%s\n", reply.c_str());
-    return reply.rfind("ok", 0) == 0 ? 0 : 2;
-}
-
-/**
- * Stream a campaign's results. The body (header + rows) goes to
- * @p out_path, or stdout when empty — exactly the bytes `sst sweep
- * --csv` would write, so the two are diffable. Returns 0 when the
- * stream ended `end complete`, 3 on a partial stream.
- */
-int
-streamCampaign(const serve::Endpoint &ep, const std::string &name,
-               bool json, bool wait, const std::string &out_path)
-{
-    serve::Request req;
-    req.kind = serve::Request::Kind::kResults;
-    req.campaign = name;
-    req.json = json;
-    req.wait = wait;
-    serve::Socket sock = clientRequest(ep, req);
-
-    std::string line;
-    if (!sock.readLine(line))
-        fatal("server closed the connection");
-    if (line.rfind("ok results", 0) != 0)
-        fatal(line);
-
-    std::ostringstream body;
-    std::string endLine;
-    while (sock.readLine(line)) {
-        if (line.rfind("end ", 0) == 0) {
-            endLine = line;
-            break;
-        }
-        body << line << '\n';
-    }
-    if (endLine.empty())
-        fatal("results stream ended without an end line");
-
-    if (out_path.empty())
-        std::fputs(body.str().c_str(), stdout);
-    else
-        writeFile(out_path, body.str());
-
-    if (endLine.rfind("end complete", 0) != 0) {
-        warn("campaign '" + name + "' is still running (" + endLine +
-             "); re-run with --results to fetch the rest");
-        return 3;
-    }
-    return 0;
-}
-
-int
-submitImpl(int argc, char **argv, int first)
-{
-    std::string endpoint = ".sst-serve.sock";
-    std::string specPath, name, resultsName, cancelName, csvPath;
-    int priority = 0;
-    bool wait = false, noWait = false, json = false;
-    bool status = false, drain = false, ping = false;
-    bool haveResults = false, haveCancel = false;
-
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--connect") {
-            endpoint = argValue(argc, argv, i);
-        } else if (arg == "--spec") {
-            specPath = argValue(argc, argv, i);
-        } else if (arg == "--name") {
-            name = argValue(argc, argv, i);
-        } else if (arg == "--priority") {
-            priority = parseInt("--priority", argValue(argc, argv, i),
-                                -1000000, 1000000);
-        } else if (arg == "--wait") {
-            wait = true;
-        } else if (arg == "--results") {
-            resultsName = argValue(argc, argv, i);
-            haveResults = true;
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--no-wait") {
-            noWait = true;
-        } else if (arg == "--status") {
-            status = true;
-        } else if (arg == "--cancel") {
-            cancelName = argValue(argc, argv, i);
-            haveCancel = true;
-        } else if (arg == "--drain") {
-            drain = true;
-        } else if (arg == "--ping") {
-            ping = true;
-        } else if (arg == "--csv") {
-            csvPath = argValue(argc, argv, i);
-        } else if (arg == "--help" || arg == "-h") {
-            submitUsage();
-            return 0;
-        } else {
-            submitUsage();
-            fatal("unknown argument '" + arg + "'");
-        }
-    }
-
-    const int actions = static_cast<int>(!specPath.empty()) +
-                        static_cast<int>(haveResults) +
-                        static_cast<int>(status) +
-                        static_cast<int>(haveCancel) +
-                        static_cast<int>(drain) + static_cast<int>(ping);
-    if (actions != 1) {
-        submitUsage();
-        fatal("exactly one action required (--spec, --results, "
-              "--status, --cancel, --drain or --ping)");
-    }
-
-    const serve::Endpoint ep = serve::parseEndpoint(endpoint);
-
-    if (status) {
-        serve::Request req;
-        req.kind = serve::Request::Kind::kStatus;
-        serve::Socket sock = clientRequest(ep, req);
-        std::string line;
-        if (!sock.readLine(line))
-            fatal("server closed the connection");
-        if (line.rfind("ok", 0) != 0)
-            fatal(line);
-        while (sock.readLine(line) && line != "end")
-            std::printf("%s\n", line.c_str());
-        return 0;
-    }
-    if (drain) {
-        serve::Request req;
-        req.kind = serve::Request::Kind::kDrain;
-        return simpleRequest(ep, req);
-    }
-    if (ping) {
-        serve::Request req;
-        req.kind = serve::Request::Kind::kPing;
-        return simpleRequest(ep, req);
-    }
-    if (haveCancel) {
-        serve::Request req;
-        req.kind = serve::Request::Kind::kCancel;
-        req.campaign = cancelName;
-        return simpleRequest(ep, req);
-    }
-    if (haveResults)
-        return streamCampaign(ep, resultsName, json, !noWait, csvPath);
-
-    // --spec: submit, optionally followed by a blocking results stream.
-    std::ifstream in(specPath, std::ios::binary);
-    if (!in.is_open())
-        fatal("cannot read spec file " + specPath);
-    std::ostringstream text;
-    text << in.rdbuf();
-    if (name.empty())
-        name = std::filesystem::path(specPath).stem().string();
-
-    serve::Request req;
-    req.kind = serve::Request::Kind::kSubmit;
-    req.campaign = name;
-    req.priority = priority;
-    req.payload = text.str();
-    const int rc = simpleRequest(ep, req);
-    if (rc != 0 || !wait)
-        return rc;
-    return streamCampaign(ep, name, json, /*wait=*/true, csvPath);
-}
-
-void
-metricsUsage()
-{
-    std::printf(
-        "usage: sst metrics [ENDPOINT]\n"
-        "print the telemetry exposition of a running `sst serve`:\n"
-        "counters, gauges and latency histograms in Prometheus text\n"
-        "format (deterministically ordered)\n"
-        "  ENDPOINT                socket path or tcp:host:port\n"
-        "                          (default: .sst-serve.sock)\n"
-        "  --connect ENDPOINT      same, as a flag\n");
-}
-
-int
-metricsImpl(int argc, char **argv, int first)
-{
-    std::string endpoint = ".sst-serve.sock";
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--connect") {
-            endpoint = argValue(argc, argv, i);
-        } else if (arg == "--help" || arg == "-h") {
-            metricsUsage();
-            return 0;
-        } else if (!arg.empty() && arg[0] != '-') {
-            endpoint = arg;
-        } else {
-            metricsUsage();
-            fatal("unknown argument '" + arg + "'");
-        }
-    }
-
-    serve::Request req;
-    req.kind = serve::Request::Kind::kMetrics;
-    serve::Socket sock =
-        clientRequest(serve::parseEndpoint(endpoint), req);
-    std::string line;
-    if (!sock.readLine(line))
-        fatal("server closed the connection");
-    if (line.rfind("ok metrics", 0) != 0)
-        fatal(line);
-    while (sock.readLine(line) && line != "end")
-        std::printf("%s\n", line.c_str());
-    return 0;
-}
-
 } // namespace
 
 int
@@ -1267,58 +825,16 @@ listMain(int argc, char **argv, int first)
 }
 
 int
-serveMain(int argc, char **argv, int first)
-{
-    try {
-        return serveImpl(argc, argv, first);
-    } catch (const std::exception &e) {
-        fatal(e.what());
-    }
-}
-
-int
-workerMain(int argc, char **argv, int first)
-{
-    try {
-        return workerImpl(argc, argv, first);
-    } catch (const std::exception &e) {
-        fatal(e.what());
-    }
-}
-
-int
-submitMain(int argc, char **argv, int first)
-{
-    try {
-        return submitImpl(argc, argv, first);
-    } catch (const std::exception &e) {
-        fatal(e.what());
-    }
-}
-
-int
-metricsMain(int argc, char **argv, int first)
-{
-    try {
-        return metricsImpl(argc, argv, first);
-    } catch (const std::exception &e) {
-        fatal(e.what());
-    }
-}
-
-int
 versionMain()
 {
     std::printf("sst format versions:\n"
                 "  fingerprint     %d (homogeneous schema %d)\n"
                 "  trace           %u (oldest readable %u)\n"
                 "  result cache    %d\n"
-                "  serve protocol  %d\n"
                 "  wdl language    %d\n",
                 kFingerprintVersion, kHomogeneousSchemaVersion,
                 trace::kTraceVersion, trace::kMinTraceVersion,
-                kResultCacheVersion, serve::kProtocolVersion,
-                wdl::kWdlVersion);
+                kResultCacheVersion, wdl::kWdlVersion);
     return 0;
 }
 

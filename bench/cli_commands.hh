@@ -1,14 +1,10 @@
 /**
  * @file
- * Implementations of the experiment CLI commands, shared between the
- * unified `sst` multi-command binary and the legacy single-purpose
- * `sweep` / `trace` binaries (now thin compatibility shells). One
- * implementation per command means flags, table layout, error messages
- * and exit codes cannot drift between the entry points.
+ * Implementations of the `sst` CLI commands (dispatched by
+ * bench/sst_main.cc).
  *
  * Every *Main takes (argc, argv, first) where argv[first] is the first
- * command-specific argument — 1 when invoked standalone, 2 behind an
- * `sst <command>` dispatcher.
+ * command-specific argument (2 behind the `sst <command>` dispatcher).
  */
 
 #ifndef SST_BENCH_CLI_COMMANDS_HH
@@ -17,10 +13,10 @@
 namespace sst {
 namespace cli {
 
-/** `sweep` / `sst sweep`: flag-driven experiment grids. */
+/** `sst sweep`: flag-driven experiment grids. */
 int sweepMain(int argc, char **argv, int first);
 
-/** `trace` / `sst trace`: record / replay / info on op traces. */
+/** `sst trace`: record / replay / info on op traces. */
 int traceMain(int argc, char **argv, int first);
 
 /** `sst run --spec FILE`: execute a declarative experiment spec. */
@@ -28,18 +24,6 @@ int runMain(int argc, char **argv, int first);
 
 /** `sst list profiles|scheds|frontends`: enumerate the registries. */
 int listMain(int argc, char **argv, int first);
-
-/** `sst serve`: run the persistent sweep service (src/serve/). */
-int serveMain(int argc, char **argv, int first);
-
-/** `sst worker --connect`: lease and execute jobs from a server. */
-int workerMain(int argc, char **argv, int first);
-
-/** `sst submit`: client for a running server (submit/results/...). */
-int submitMain(int argc, char **argv, int first);
-
-/** `sst metrics ENDPOINT`: stream a live server's telemetry text. */
-int metricsMain(int argc, char **argv, int first);
 
 /** `sst --version`: print every persisted-format version. */
 int versionMain();

@@ -6,11 +6,8 @@
  *   sst sweep --profiles all --threads 16      flag-driven grids
  *   sst trace record|replay|info               op-trace workflows
  *   sst list profiles|scheds|frontends         enumerate the registries
- *   sst serve / worker / submit                persistent sweep service
  *
- * `sweep` and `trace` also exist as standalone compatibility binaries;
- * all commands share one implementation each (bench/cli_commands.cc)
- * so behaviour cannot drift between entry points. The dispatcher is
+ * The commands live in bench/cli_commands.cc. The dispatcher is
  * table-driven: usage text and the unknown-command error enumerate the
  * same table, so a new command cannot be half-registered.
  */
@@ -38,13 +35,6 @@ constexpr Command kCommands[] = {
      sst::cli::traceMain},
     {"list", "enumerate registered profiles, scheds, frontends, mixes",
      sst::cli::listMain},
-    {"serve", "run the persistent sweep service", sst::cli::serveMain},
-    {"worker", "lease and execute jobs from a server",
-     sst::cli::workerMain},
-    {"submit", "submit campaigns / fetch results from a server",
-     sst::cli::submitMain},
-    {"metrics", "stream telemetry from a running server",
-     sst::cli::metricsMain},
 };
 
 void

@@ -1,8 +1,6 @@
 #include "experiment.hh"
 
-#include <chrono>
 
-#include "telemetry/metrics.hh"
 #include "util/logging.hh"
 
 namespace sst {
@@ -150,22 +148,6 @@ BaselineStore::get(const std::string &key,
         } else {
             future = it->second;
         }
-    }
-    // Contention telemetry: a non-owner whose future is not yet ready
-    // is blocked behind an in-flight compute of the same key. Sampled
-    // only (never branched on), so results are unaffected.
-    telemetry::Registry &registry = telemetry::Registry::global();
-    if (registry.enabled()) {
-        const char *outcome =
-            owner ? "compute"
-                  : future.wait_for(std::chrono::seconds(0)) ==
-                            std::future_status::ready
-                        ? "hit"
-                        : "wait";
-        registry
-            .counter("sst_driver_baseline_requests_total",
-                     {{"outcome", outcome}})
-            .inc();
     }
     if (owner) {
         // Compute outside the lock so other keys proceed concurrently. A

@@ -1,7 +1,6 @@
 #include "driver.hh"
 
 #include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <mutex>
 #include <set>
@@ -13,8 +12,6 @@
 #include "core/experiment.hh"
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
-#include "serve/job_queue.hh"
-#include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "trace/trace_run.hh"
 
@@ -118,13 +115,29 @@ class TraceRecordClaims
     std::set<std::string> claimed_;
 };
 
-/** Execute one job (validation, cache, trace replay or live runs). */
-JobResult
-runOneJob(const DriverOptions &opts, const JobSpec &spec,
-          BaselineStore &baselines, ResultCache *cache,
-          TraceReaderCache &traces, TraceRecordClaims &records)
+/**
+ * What the jobs of one runBatch() call share: 1-thread baselines,
+ * parsed traces and --record-dir claims. Each store locks internally,
+ * so worker threads use one context concurrently.
+ */
+struct BatchContext
 {
-    telemetry::Registry &registry = telemetry::Registry::global();
+    const DriverOptions &opts;
+    ResultCache *cache; ///< null when memoization is disabled
+    BaselineStore baselines;
+    TraceReaderCache traces;
+    TraceRecordClaims records;
+};
+
+/**
+ * Execute one job (validation, cache, trace replay or live runs). Never
+ * throws: a rejected spec or an execution error yields a kFailed result
+ * carrying the message.
+ */
+JobResult
+runOneJob(const JobSpec &spec, BatchContext &ctx)
+{
+    const DriverOptions &opts = ctx.opts;
     telemetry::ScopedSpan jobSpan("job", "driver");
     JobResult res;
     try {
@@ -133,23 +146,15 @@ runOneJob(const DriverOptions &opts, const JobSpec &spec,
             validateSpec(spec);
         }
         const Fingerprint fp = fingerprintJob(spec);
-        if (cache && !opts.refresh) {
+        if (ctx.cache && !opts.refresh) {
             SpeedupExperiment hit;
-            if (cache->lookup(fp, hit)) {
+            if (ctx.cache->lookup(fp, hit)) {
                 // Cache hits never re-simulate, so they also never
                 // record: --record-dir captures only fresh runs.
-                registry
-                    .counter("sst_driver_cache_lookups_total",
-                             {{"outcome", "hit"}})
-                    .inc();
                 res.status = JobStatus::kCached;
                 res.exp = std::move(hit);
                 return res;
             }
-            registry
-                .counter("sst_driver_cache_lookups_total",
-                         {{"outcome", "miss"}})
-                .inc();
         }
 
         const WorkloadSpec workload = spec.effectiveWorkload();
@@ -171,7 +176,7 @@ runOneJob(const DriverOptions &opts, const JobSpec &spec,
                 opts.traceDir, workload, spec.seedOffset,
                 spec.params.schedPolicy, spec.params.schedSeed);
             if (std::filesystem::exists(path)) {
-                reader = traces.get(path);
+                reader = ctx.traces.get(path);
                 reader->requireCompatibleWorkload(
                     workload.role, traceGroupsOf(workload),
                     spec.params.schedPolicy, spec.params.schedSeed);
@@ -191,7 +196,7 @@ runOneJob(const DriverOptions &opts, const JobSpec &spec,
                                        spec.seedOffset,
                                        spec.params.schedPolicy,
                                        spec.params.schedSeed);
-            if (records.claim(record_path)) {
+            if (ctx.records.claim(record_path)) {
                 writer = std::make_unique<TraceWriter>(
                     traceMetaFor(workload, spec.params));
                 // Baseline streams are a pure function of the workload
@@ -227,7 +232,7 @@ runOneJob(const DriverOptions &opts, const JobSpec &spec,
                         spec.params, workload.groups[g].profile);
                 };
                 if (opts.shareBaselines) {
-                    group_bases.push_back(baselines.get(
+                    group_bases.push_back(ctx.baselines.get(
                         fingerprintWorkloadGroupBaseline(spec.params,
                                                          workload, group)
                             .canonical,
@@ -269,9 +274,9 @@ runOneJob(const DriverOptions &opts, const JobSpec &spec,
             workload.label(), nthreads, spec.params,
             combineGroupBaselines(group_bases), std::move(parallel));
         res.tracedReplay = reader != nullptr;
-        if (cache) {
+        if (ctx.cache) {
             telemetry::ScopedSpan storeSpan("cache-store", "driver");
-            cache->store(fp, exp);
+            ctx.cache->store(fp, exp);
         }
         res.status = JobStatus::kOk;
         res.exp = std::move(exp);
@@ -283,62 +288,6 @@ runOneJob(const DriverOptions &opts, const JobSpec &spec,
 }
 
 } // namespace
-
-struct JobExecutor::Impl
-{
-    DriverOptions opts;
-    ResultCache *cache = nullptr;
-    BaselineStore baselines;
-    TraceReaderCache traces;
-    TraceRecordClaims records;
-};
-
-JobExecutor::JobExecutor(const DriverOptions &opts, ResultCache *cache)
-    : impl_(std::make_unique<Impl>())
-{
-    impl_->opts = opts;
-    impl_->cache = cache;
-}
-
-JobExecutor::~JobExecutor() = default;
-
-JobResult
-JobExecutor::run(const JobSpec &spec)
-{
-    telemetry::Registry &registry = telemetry::Registry::global();
-    const bool instrumented = registry.enabled();
-    const auto start = instrumented
-                           ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
-    JobResult res = runOneJob(impl_->opts, spec, impl_->baselines,
-                              impl_->cache, impl_->traces,
-                              impl_->records);
-    if (instrumented) {
-        const double seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        registry
-            .histogram("sst_driver_job_seconds", {},
-                       {0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
-                        10.0, 60.0})
-            .observe(seconds);
-        const char *status = res.status == JobStatus::kOk ? "ok"
-                             : res.status == JobStatus::kCached
-                                 ? "cached"
-                                 : "failed";
-        registry
-            .counter("sst_driver_jobs_total", {{"status", status}})
-            .inc();
-    }
-    return res;
-}
-
-std::size_t
-JobExecutor::baselinesComputed() const
-{
-    return impl_->baselines.computeCount();
-}
 
 ExperimentDriver::ExperimentDriver(DriverOptions opts)
     : opts_(std::move(opts))
@@ -370,67 +319,65 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
     stats_ = BatchStats{};
     stats_.total = specs.size();
 
-    JobExecutor executor(opts_, cache_.get());
-
-    // The batch runs through the same JobQueue the experiment service
-    // uses (src/serve/), with in-process lease-loop threads as the
-    // backend. Local workers cannot die and the executor never throws,
-    // so every leased job completes — timestamps stay 0 and no lease
-    // ever expires. Fingerprint dedup means a batch that lists the same
-    // job twice executes it once and both rows share the result.
-    serve::JobQueue queue;
-    std::vector<serve::JobId> ids;
-    std::vector<bool> dup(specs.size(), false);
-    ids.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const serve::SubmitOutcome out = queue.submit(specs[i], 0, 0);
-        ids.push_back(out.id);
-        dup[i] = out.deduped;
+    // Fingerprint dedup: a batch that lists the same job twice executes
+    // it once and both rows share the result. twin[i] is the first row
+    // with row i's fingerprint; the unique rows run in first-occurrence
+    // order. A spec the fingerprint encoder rejects is never deduped,
+    // so its failure surfaces from validation in its own row.
+    std::vector<std::size_t> twin(specs.size());
+    std::vector<std::size_t> unique;
+    {
+        std::unordered_map<std::string, std::size_t> first_row;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            twin[i] = i;
+            try {
+                twin[i] = first_row
+                              .emplace(fingerprintJob(specs[i]).canonical,
+                                       i)
+                              .first->second;
+            } catch (const std::exception &) {
+                // Unfingerprintable: the row stays its own twin.
+            }
+            if (twin[i] == i)
+                unique.push_back(i);
+        }
     }
 
-    // Pool depth gauge: jobs not yet settled. A relaxed atomic updated
-    // per completion — never read back by the batch itself.
-    telemetry::GaugeHandle depthGauge =
-        telemetry::Registry::global().gauge("sst_driver_queue_depth");
-    std::atomic<std::size_t> unsettled{ids.size()};
-    depthGauge.set(static_cast<double>(unsettled.load()));
-
-    auto leaseLoop = [&queue, &executor, &depthGauge,
-                      &unsettled](const std::string &worker) {
-        serve::LeasedJob job;
-        while (queue.lease(worker, 0, job)) {
-            queue.complete(job.id, worker, executor.run(job.spec));
-            depthGauge.set(static_cast<double>(
-                unsettled.fetch_sub(1, std::memory_order_relaxed) - 1));
-        }
+    // Workers claim unique rows from a shared index; each writes only
+    // the result slots it claimed, and join() publishes them.
+    BatchContext ctx{opts_, cache_.get(), {}, {}, {}};
+    std::vector<JobResult> results(specs.size());
+    std::atomic<std::size_t> next{0};
+    auto work = [&]() {
+        for (std::size_t k = next.fetch_add(1); k < unique.size();
+             k = next.fetch_add(1))
+            results[unique[k]] = runOneJob(specs[unique[k]], ctx);
     };
 
     const int nworkers = workerCount();
     if (nworkers <= 1 || specs.size() <= 1) {
-        leaseLoop("local-0");
+        work();
     } else {
         std::vector<std::thread> threads;
         threads.reserve(static_cast<std::size_t>(nworkers));
         for (int w = 0; w < nworkers; ++w)
-            threads.emplace_back(leaseLoop,
-                                 "local-" + std::to_string(w));
+            threads.emplace_back(work);
         for (std::thread &t : threads)
             t.join();
     }
 
-    std::vector<JobResult> results(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        results[i] = queue.resultFor(ids[i]);
-        if (dup[i]) {
-            ++stats_.deduped;
-            // A deduped row replays its twin's in-queue result: report
-            // it as a (memoized) cache hit, never a second execution,
-            // and don't double-count the twin's trace activity.
-            if (results[i].status == JobStatus::kOk)
-                results[i].status = JobStatus::kCached;
-            results[i].tracedReplay = false;
-            results[i].traceRecorded = false;
-        }
+        if (twin[i] == i)
+            continue;
+        ++stats_.deduped;
+        // A deduped row replays its twin's result: report it as a
+        // (memoized) cache hit, never a second execution, and don't
+        // double-count the twin's trace activity.
+        results[i] = results[twin[i]];
+        if (results[i].status == JobStatus::kOk)
+            results[i].status = JobStatus::kCached;
+        results[i].tracedReplay = false;
+        results[i].traceRecorded = false;
     }
 
     for (const JobResult &r : results) {
@@ -450,7 +397,7 @@ ExperimentDriver::runBatch(const std::vector<JobSpec> &specs)
             break;
         }
     }
-    stats_.baselinesComputed = executor.baselinesComputed();
+    stats_.baselinesComputed = ctx.baselines.computeCount();
     return results;
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * The parallel experiment driver: executes a declarative batch of
- * speedup-experiment jobs on a work-stealing thread pool, shares
+ * speedup-experiment jobs on worker threads that claim jobs from a
+ * shared index, runs a job listed twice in one batch once, shares
  * single-threaded baseline runs between jobs that only differ in thread
  * count, memoizes completed jobs in a content-addressed on-disk cache,
  * and isolates failures so one bad spec never poisons a batch.
@@ -49,7 +50,7 @@ struct DriverOptions
 
     /**
      * Capture `.sstt` op traces of live jobs into this directory as
-     * the batch runs (the `sweep --record-dir` mode). Each freshly
+     * the batch runs (the `sst sweep --record-dir` mode). Each freshly
      * executed, non-oversubscribed job writes its canonical trace file
      * (tracePathFor) via the RecordingSource shim around its parallel
      * run; baseline streams are filled by pure generation, so shared
@@ -76,39 +77,6 @@ struct BatchStats
     std::size_t baselinesComputed = 0; ///< distinct 1-thread runs
     std::size_t traceReplays = 0; ///< executed jobs driven from a trace
     std::size_t tracesRecorded = 0; ///< jobs captured via --record-dir
-};
-
-/**
- * Executes single jobs: validation, result-cache lookup/store, trace
- * replay/record and the simulation runs, with 1-thread baselines,
- * parsed traces and record-path claims memoized across calls. This is
- * the execution engine runBatch() used to inline — split out so the
- * in-process worker threads and external `sst worker` processes
- * (src/serve/) share one implementation. Thread-safe: concurrent run()
- * calls coordinate through the internal stores.
- */
-class JobExecutor
-{
-  public:
-    /**
-     * @p cache may be null (memoization disabled); when set it must
-     * outlive the executor. @p opts is copied.
-     */
-    JobExecutor(const DriverOptions &opts, class ResultCache *cache);
-    ~JobExecutor();
-
-    /**
-     * Execute one job. Never throws: spec validation or execution
-     * errors yield a kFailed result carrying the message.
-     */
-    JobResult run(const JobSpec &spec);
-
-    /** Distinct 1-thread baseline runs computed so far. */
-    std::size_t baselinesComputed() const;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
 };
 
 /** Executes job batches; reusable across batches (stats reset per run). */

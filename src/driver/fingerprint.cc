@@ -154,10 +154,10 @@ fingerprintJob(const JobSpec &spec)
     if (workload.wdlProgram) {
         // WDL jobs are identified by the *compiled IR* (canonical
         // text), never by the source path: identical file content at
-        // different paths — or re-submitted through `sst serve` — keys
-        // one cache entry. The effective per-group seeds (seed-offset
-        // and group mixing already applied) are encoded separately
-        // because they scope the thread RNG streams outside the IR.
+        // different paths keys one cache entry. The effective per-group
+        // seeds (seed-offset and group mixing already applied) are
+        // encoded separately because they scope the thread RNG streams
+        // outside the IR.
         put(out, "fingerprint.version", kFingerprintVersion);
         put(out, "job.kind", std::string("experiment"));
         put(out, "job.nthreads", spec.nthreads());

@@ -10,7 +10,6 @@
 #include <sstream>
 #include <unistd.h>
 
-#include "telemetry/metrics.hh"
 #include "util/logging.hh"
 
 namespace sst {
@@ -89,8 +88,7 @@ toF64(const std::string &s, double &out)
     return errno == 0 && end && *end == '\0';
 }
 
-} // namespace
-
+/** The persisted summary of @p exp as `key value` lines ending in `end`. */
 std::string
 encodeExperimentSummary(const SpeedupExperiment &exp)
 {
@@ -125,6 +123,11 @@ encodeExperimentSummary(const SpeedupExperiment &exp)
     return os.str();
 }
 
+/**
+ * Decode encodeExperimentSummary() text into @p out. False on malformed
+ * values or a missing `end` sentinel; unknown keys are skipped. The
+ * derived single/parallel run fields are filled as on any cache hit.
+ */
 bool
 decodeExperimentSummary(const std::string &text, SpeedupExperiment &out)
 {
@@ -200,6 +203,8 @@ decodeExperimentSummary(const std::string &text, SpeedupExperiment &out)
     return true;
 }
 
+} // namespace
+
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
 {
     std::error_code ec;
@@ -252,23 +257,6 @@ ResultCache::store(const Fingerprint &fp, const SpeedupExperiment &exp)
 bool
 ResultCache::lookup(const Fingerprint &fp, SpeedupExperiment &out) const
 {
-    bool opened = false;
-    const bool hit = lookupImpl(fp, out, opened);
-    // A "heal": the entry existed but failed validation (corruption,
-    // truncation, hash mismatch) and degraded to a miss — the caller
-    // re-executes and store() overwrites the bad entry. Only this
-    // function can tell a heal from a plain miss.
-    if (!hit && opened)
-        telemetry::Registry::global()
-            .counter("sst_driver_cache_heals_total")
-            .inc();
-    return hit;
-}
-
-bool
-ResultCache::lookupImpl(const Fingerprint &fp, SpeedupExperiment &out,
-                        bool &opened) const
-{
     // Every failure mode of a corrupt or truncated entry — bad magic,
     // wrong hash, an absurd canonical-bytes value, malformed metric
     // lines, a missing end sentinel — is a miss, never a crash: the
@@ -277,7 +265,6 @@ ResultCache::lookupImpl(const Fingerprint &fp, SpeedupExperiment &out,
         std::ifstream in(entryPath(fp), std::ios::binary);
         if (!in)
             return false;
-        opened = true;
 
         std::string line;
         if (!std::getline(in, line) || line != kMagic)

@@ -35,23 +35,6 @@ namespace sst {
  */
 inline constexpr int kResultCacheVersion = 1;
 
-/**
- * Encode the persisted summary of @p exp as `key value` lines
- * terminated by an `end` line — the body of a cache entry and the
- * serve protocol's wire form of a completed job (one codec, so the
- * socket and the cache can never disagree about a result).
- */
-std::string encodeExperimentSummary(const SpeedupExperiment &exp);
-
-/**
- * Decode encodeExperimentSummary() text into @p out. Returns false on
- * malformed values or truncation (no `end` sentinel); unknown keys are
- * skipped. On success the derived single/parallel run fields are
- * filled exactly like a cache hit (see file comment).
- */
-bool decodeExperimentSummary(const std::string &text,
-                             SpeedupExperiment &out);
-
 /** On-disk result store keyed by job fingerprints. */
 class ResultCache
 {
@@ -79,9 +62,6 @@ class ResultCache
     std::string entryPath(const Fingerprint &fp) const;
 
   private:
-    bool lookupImpl(const Fingerprint &fp, SpeedupExperiment &out,
-                    bool &opened) const;
-
     std::string dir_;
     std::mutex writeMutex_;
 };

@@ -1,10 +1,8 @@
 #include "system.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "sim/phys_map.hh"
-#include "telemetry/metrics.hh"
 #include "util/logging.hh"
 #include "workload/thread_program.hh"
 
@@ -102,27 +100,12 @@ System::run()
         sched_->enqueue(ReadyThread{t, kInvalidId}, /*preferred=*/false);
     }
 
-    // Telemetry is sampled, never consulted: a null handle (registry
-    // disabled) costs one predictable branch per 64Ki events and the
-    // simulation result is byte-identical either way.
-    telemetry::GaugeHandle simRate = telemetry::Registry::global().gauge(
-        "sst_sim_cycles_per_wall_second");
-    const auto wallStart = std::chrono::steady_clock::now();
-
     constexpr Cycles kCycleCap = 60'000'000'000ULL;
     while (finishedThreads_ < nthreads_) {
         const EventQueue::Event ev = events_.peek();
         if (ev.at == kNever)
             panic("simulation deadlock: no runnable events");
         ++engineEvents_;
-        if (simRate && (engineEvents_ & 0xFFFFu) == 0) {
-            const double secs =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - wallStart)
-                    .count();
-            if (secs > 0)
-                simRate.set(static_cast<double>(ev.at) / secs);
-        }
         if (ev.kind == EventQueue::Kind::kWake) {
             ++engineWakes_;
             events_.popWake();
@@ -154,16 +137,6 @@ System::run()
     res.enginePreemptions = enginePreemptions_;
     res.engineHeapOps = events_.ops();
 
-    telemetry::Registry &registry = telemetry::Registry::global();
-    if (registry.enabled()) {
-        registry.counter("sst_sim_events_total").inc(engineEvents_);
-        registry.counter("sst_sim_wakes_total").inc(engineWakes_);
-        registry.counter("sst_sim_preemptions_total")
-            .inc(enginePreemptions_);
-        registry.counter("sst_sim_heap_ops_total").inc(events_.ops());
-        registry.counter("sst_sim_cycles_total")
-            .inc(res.executionTime);
-    }
     return res;
 }
 

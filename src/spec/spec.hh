@@ -140,8 +140,7 @@ SweepGrid specGrid(const ExperimentSpec &spec);
 
 /**
  * The single-job spec: an ExperimentSpec whose grid expands to exactly
- * @p job — the wire form the experiment service leases jobs in
- * (serialize on the server, parse + expand on the worker). The result
+ * @p job, so any job can be written out as a spec file. The result
  * validates and round-trips: expandGrid(specGrid(specForJob(job)))
  * yields one job with a fingerprint equal to fingerprintJob(job).
  * Requires @p job's profiles/workload to be registry-resolvable (true

@@ -3,11 +3,8 @@
  * Named timed spans recorded into per-thread ring buffers and exported
  * as Chrome `trace_event` JSON (loadable in Perfetto / chrome://tracing).
  *
- * Span sources:
- *  - driver job lifecycle: validate → baseline → simulate → cache-store
- *    (one lane per pool worker thread);
- *  - serve lifecycle: submit → enqueue → lease → heartbeat → done (one
- *    lane per connection-handler / local-worker thread).
+ * Span source: the driver job lifecycle, job → validate → baseline →
+ * simulate → cache-store, one lane per driver worker thread.
  *
  * Disabled by default: ScopedSpan checks one relaxed atomic and reads
  * no clock when tracing is off, so instrumented code paths cost nothing

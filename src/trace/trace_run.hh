@@ -75,7 +75,7 @@ std::string tracePathFor(const std::string &dir,
  * @p writer's corresponding baseline stream by pure generation — an op
  * stream is a deterministic function of its profile, so no simulation
  * is needed and the bytes equal what a recorded live baseline run
- * would capture. This is how `sweep --record-dir` fills baseline
+ * would capture. This is how `sst sweep --record-dir` fills baseline
  * streams without re-running baselines every job.
  */
 void appendGeneratedBaseline(TraceWriter &writer,

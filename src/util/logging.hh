@@ -5,7 +5,7 @@
  * inform() and debugLog() for non-fatal diagnostics.
  *
  * Thread safety: each message is rendered into one string and emitted
- * with a single fprintf, so concurrent driver/serve threads never
+ * with a single fprintf, so concurrent driver threads never
  * interleave partial lines (POSIX stdio locks the stream per call).
  *
  * Levels: the SST_LOG environment variable (read once) selects
@@ -14,7 +14,7 @@
  *  - debug : + debugLog().
  *
  * Component tags: the two-argument overloads prefix the message with
- * `[component]` so interleaved serve/worker/driver output stays
+ * `[component]` so interleaved output of concurrent jobs stays
  * attributable.
  */
 
@@ -104,7 +104,7 @@ warn(const std::string &msg)
         detail::emitLog("warn", "", msg);
 }
 
-/** warn() tagged with the emitting component (`[serve]`, ...). */
+/** warn() tagged with the emitting component (`[cli]`, ...). */
 inline void
 warn(const std::string &component, const std::string &msg)
 {

@@ -13,8 +13,7 @@
  * Determinism contract: op streams are pure functions of (compiled IR,
  * group seed, thread placement). Fingerprints hash the *compiled IR*
  * (canonicalText), never the file path, so identical content at
- * different paths dedups to one cache entry and `sst serve` reschedules
- * WDL jobs safely.
+ * different paths dedups to one cache entry.
  */
 
 #ifndef SST_WDL_WDL_HH

@@ -2,14 +2,15 @@
  * @file
  * Tests of the parallel experiment driver: the determinism contract
  * (worker count never changes results), serial equivalence, baseline
- * sharing, on-disk result-cache hits and invalidation, failure
- * isolation, the work-stealing pool, and the sweep-grid helpers.
+ * sharing, intra-batch dedup, on-disk result-cache hits, invalidation
+ * and corruption, failure isolation, and the sweep-grid helpers.
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
@@ -17,7 +18,6 @@
 #include "driver/fingerprint.hh"
 #include "driver/result_cache.hh"
 #include "driver/sweep.hh"
-#include "driver/thread_pool.hh"
 #include "tests/test_util.hh"
 
 namespace sst {
@@ -68,35 +68,6 @@ freshTempDir(const char *name)
         std::string(::testing::TempDir()) + "sst_driver_" + name;
     std::filesystem::remove_all(dir);
     return dir;
-}
-
-// ---- thread pool -----------------------------------------------------------
-
-TEST(WorkStealingPool, RunsEverySubmittedTask)
-{
-    WorkStealingPool pool(4);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 500; ++i)
-        pool.submit([&done] { done.fetch_add(1); });
-    pool.waitIdle();
-    EXPECT_EQ(done.load(), 500);
-}
-
-TEST(WorkStealingPool, WaitIdleOnEmptyPoolReturns)
-{
-    WorkStealingPool pool(2);
-    pool.waitIdle(); // must not hang
-    SUCCEED();
-}
-
-TEST(WorkStealingPool, SingleWorkerStillCompletes)
-{
-    WorkStealingPool pool(1);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&done] { done.fetch_add(1); });
-    pool.waitIdle();
-    EXPECT_EQ(done.load(), 50);
 }
 
 // ---- fingerprints ----------------------------------------------------------
@@ -233,6 +204,28 @@ TEST(BaselineStore, ComputesEachKeyOnce)
     EXPECT_EQ(store.computeCount(), 2u);
 }
 
+// ---- intra-batch dedup -----------------------------------------------------
+
+TEST(DriverQueue, IntraBatchDuplicatesAreDeduped)
+{
+    DriverOptions opts;
+    opts.jobs = 2;
+    BatchStats stats;
+    const BenchmarkProfile profile = test::computeOnlyProfile();
+    const std::vector<JobSpec> specs = {
+        makeJob(profile, 2), makeJob(profile, 4), makeJob(profile, 2)};
+    const std::vector<JobResult> results =
+        runExperimentBatch(specs, opts, &stats);
+
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(stats.executed, 2u);
+    EXPECT_EQ(stats.deduped, 1u);
+    // The duplicate reports as a cache-style hit with the twin's data.
+    EXPECT_EQ(results[2].status, JobStatus::kCached);
+    EXPECT_EQ(results[2].exp.tp, results[0].exp.tp);
+    EXPECT_EQ(results[0].status, JobStatus::kOk);
+}
+
 // ---- result cache ----------------------------------------------------------
 
 TEST(Driver, SecondRunReplaysFromCache)
@@ -343,6 +336,62 @@ TEST(ResultCache, RejectsCorruptAndTruncatedEntries)
     std::filesystem::remove_all(dir);
 }
 
+TEST(ResultCacheCorruption, CorruptEntriesAreMissesNotCrashes)
+{
+    const std::string dir = freshTempDir("cache_garbage");
+    ResultCache cache(dir);
+    const Fingerprint fp =
+        fingerprintJob(makeJob(test::computeOnlyProfile(), 2));
+    const std::string path = cache.entryPath(fp);
+
+    SpeedupExperiment exp;
+    exp.label = "t-compute";
+    exp.nthreads = 2;
+    exp.ts = 100;
+    exp.tp = 50;
+    exp.actualSpeedup = 2.0;
+    cache.store(fp, exp);
+    SpeedupExperiment out;
+    ASSERT_TRUE(cache.lookup(fp, out));
+
+    // Absurd canonical-bytes: must miss without attempting a huge
+    // allocation (or crashing).
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f << "sst-result-cache v1\nhash " << fp.hex()
+          << "\ncanonical-bytes 99999999999999\ngarbage";
+    }
+    EXPECT_FALSE(cache.lookup(fp, out));
+
+    // Truncated entry (torn write on a filesystem without atomic
+    // rename): miss, not crash.
+    cache.store(fp, exp);
+    std::string full;
+    {
+        std::ifstream f(path, std::ios::binary);
+        std::ostringstream ss;
+        ss << f.rdbuf();
+        full = ss.str();
+    }
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f << full.substr(0, full.size() / 2);
+    }
+    EXPECT_FALSE(cache.lookup(fp, out));
+
+    // Binary garbage: miss.
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f << std::string(64, '\xff');
+    }
+    EXPECT_FALSE(cache.lookup(fp, out));
+
+    // store() overwrites the bad entry and the cache heals.
+    cache.store(fp, exp);
+    EXPECT_TRUE(cache.lookup(fp, out));
+    std::filesystem::remove_all(dir);
+}
+
 // ---- failure isolation -----------------------------------------------------
 
 TEST(Driver, OneBadJobDoesNotPoisonTheBatch)
@@ -367,6 +416,40 @@ TEST(Driver, OneBadJobDoesNotPoisonTheBatch)
         EXPECT_TRUE(results[i].ok()) << i << ": " << results[i].error;
         EXPECT_GT(results[i].exp.actualSpeedup, 0.0);
     }
+}
+
+TEST(Driver, FailingDuplicatesAreDedupedAndShareTheError)
+{
+    // Dedup keys on the fingerprint alone, so a failing spec listed
+    // twice runs once and both rows carry the twin's failure. That
+    // holds for a spec with no workload groups too: it still
+    // fingerprints (and fails validation at run time).
+    BenchmarkProfile empty = test::computeOnlyProfile();
+    empty.totalIters = 0;
+    const JobSpec failing = makeJob(empty, 2);
+    const std::vector<JobSpec> specs = {failing, JobSpec{}, failing,
+                                        JobSpec{}};
+
+    DriverOptions opts;
+    opts.jobs = 2;
+    BatchStats stats;
+    const std::vector<JobResult> results =
+        runExperimentBatch(specs, opts, &stats);
+
+    ASSERT_EQ(results.size(), 4u);
+    EXPECT_EQ(stats.deduped, 2u);
+    EXPECT_EQ(stats.failed, 4u);
+    EXPECT_EQ(stats.executed, 0u);
+    EXPECT_EQ(stats.cached, 0u);
+    for (const JobResult &r : results)
+        EXPECT_EQ(r.status, JobStatus::kFailed);
+    EXPECT_NE(results[0].error.find("totalIters"), std::string::npos)
+        << results[0].error;
+    EXPECT_NE(results[1].error.find("no program groups"),
+              std::string::npos)
+        << results[1].error;
+    EXPECT_EQ(results[2].error, results[0].error);
+    EXPECT_EQ(results[3].error, results[1].error);
 }
 
 TEST(Driver, EmptyProfileFailsCleanly)

@@ -3,9 +3,10 @@
  * Tests of the declarative ExperimentSpec API: canonical-form round
  * trips and stability, the machine-key table, the three named
  * registries (enumeration order, aliasing, generated error messages),
- * spec -> grid expansion, the cores oversubscription axis, and
+ * spec -> grid expansion, the cores oversubscription axis,
  * fingerprint-v3 result-cache sharing between spec-driven and
- * flag-driven invocations.
+ * flag-driven invocations, and specForJob's fingerprint-preserving
+ * job -> spec round trip.
  */
 
 #include <filesystem>
@@ -20,6 +21,7 @@
 #include "spec/spec.hh"
 #include "tests/test_util.hh"
 #include "workload/profile.hh"
+#include "workload/workload_spec.hh"
 
 namespace sst {
 namespace {
@@ -480,6 +482,47 @@ TEST(Driver, SpecDrivenRunReusesFlagDrivenCacheEntries)
     EXPECT_EQ(second.cached, 1u);
     ASSERT_TRUE(replay[0].fromCache());
     std::filesystem::remove_all(dir);
+}
+
+// ---- specForJob -------------------------------------------------------------
+
+void
+expectSpecRoundTrip(const JobSpec &job)
+{
+    const ExperimentSpec spec = specForJob(job);
+    const std::string text = serializeSpec(spec);
+    EXPECT_EQ(parseSpec(text), spec); // canonical round trip
+
+    const std::vector<JobSpec> jobs = expandGrid(specGrid(spec));
+    ASSERT_EQ(jobs.size(), 1u) << text;
+    EXPECT_EQ(fingerprintJob(jobs[0]).canonical,
+              fingerprintJob(job).canonical)
+        << text;
+}
+
+TEST(SpecForJob, HomogeneousJobRoundTrips)
+{
+    JobSpec job;
+    job.workload =
+        WorkloadSpec::homogeneous(profileByLabel("cholesky"), 4);
+    job.ncores = 2; // oversubscribed
+    job.params.cache.llcBytes = 1 << 20;
+    job.params.schedPolicy = SchedPolicy::kRandom;
+    job.params.schedSeed = 7;
+    job.seedOffset = 3;
+    expectSpecRoundTrip(job);
+}
+
+TEST(SpecForJob, MixAndPipelineJobsRoundTrip)
+{
+    JobSpec mix;
+    mix.workload = parseWorkload("fig08_cholesky");
+    expectSpecRoundTrip(mix);
+
+    JobSpec pipeline;
+    pipeline.workload = parseWorkload("ferret4");
+    expectSpecRoundTrip(pipeline);
+    EXPECT_EQ(specForJob(pipeline).frontend, "pipeline");
 }
 
 // ---- spec files -------------------------------------------------------------

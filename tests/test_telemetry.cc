@@ -1,14 +1,10 @@
 /**
  * @file
- * Tests of the telemetry subsystem: registry exposition (golden text,
- * deterministic ordering, label canonicalisation and escaping), exact
- * concurrent counter sums, histogram quantile estimation, Chrome
- * trace_event export well-formedness, and the contract that telemetry
- * never changes simulation results (on/off CSVs are byte-identical).
+ * Tests of the span tracer: Chrome trace_event export well-formedness,
+ * recording only while enabled, and the contract that tracing never
+ * changes simulation results (on/off CSVs are byte-identical).
  */
 
-#include <algorithm>
-#include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
@@ -19,124 +15,12 @@
 
 #include "driver/driver.hh"
 #include "driver/sweep.hh"
-#include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "tests/test_util.hh"
 
 namespace sst {
 namespace telemetry {
 namespace {
-
-// ---- registry exposition ---------------------------------------------------
-
-TEST(Metrics, DisabledRegistryHandsOutNullHandles)
-{
-    Registry r;
-    ASSERT_FALSE(r.enabled());
-    CounterHandle c = r.counter("sst_x_total");
-    GaugeHandle g = r.gauge("sst_x");
-    HistogramHandle h = r.histogram("sst_x_seconds", {}, {1.0});
-    EXPECT_FALSE(static_cast<bool>(c));
-    EXPECT_FALSE(static_cast<bool>(g));
-    EXPECT_FALSE(static_cast<bool>(h));
-    c.inc();
-    g.set(1.0);
-    h.observe(1.0); // all no-ops, and nothing registers
-    EXPECT_EQ(r.renderText(), "");
-}
-
-TEST(Metrics, ExpositionGolden)
-{
-    Registry r;
-    r.setEnabled(true);
-    r.counter("sst_jobs_total", {{"status", "ok"}}).inc(3);
-    r.counter("sst_jobs_total", {{"status", "failed"}}).inc();
-    r.gauge("sst_queue_depth").set(2.5);
-    HistogramHandle h =
-        r.histogram("sst_latency_seconds", {}, {0.5, 2.0, 8.0});
-    // One observation per bucket incl. +Inf; the sum 21.25 is exactly
-    // representable so the golden text is byte-stable.
-    h.observe(0.25);
-    h.observe(1.0);
-    h.observe(4.0);
-    h.observe(16.0);
-
-    const std::string expected =
-        "# TYPE sst_jobs_total counter\n"
-        "sst_jobs_total{status=\"failed\"} 1\n"
-        "sst_jobs_total{status=\"ok\"} 3\n"
-        "# TYPE sst_latency_seconds histogram\n"
-        "sst_latency_seconds_bucket{le=\"0.5\"} 1\n"
-        "sst_latency_seconds_bucket{le=\"2\"} 2\n"
-        "sst_latency_seconds_bucket{le=\"8\"} 3\n"
-        "sst_latency_seconds_bucket{le=\"+Inf\"} 4\n"
-        "sst_latency_seconds_sum 21.25\n"
-        "sst_latency_seconds_count 4\n"
-        "sst_latency_seconds{quantile=\"0.5\"} 2\n"
-        "sst_latency_seconds{quantile=\"0.95\"} 8\n"
-        "sst_latency_seconds{quantile=\"0.99\"} 8\n"
-        "# TYPE sst_queue_depth gauge\n"
-        "sst_queue_depth 2.5\n";
-    EXPECT_EQ(r.renderText(), expected);
-    // Rendering is a pure read: a second walk is byte-identical.
-    EXPECT_EQ(r.renderText(), expected);
-}
-
-TEST(Metrics, LabelsAreCanonicalisedAndEscaped)
-{
-    Registry r;
-    r.setEnabled(true);
-    // Insertion order must not matter: labels sort by name.
-    r.counter("sst_m_total", {{"b", "2"}, {"a", "1"}}).inc();
-    r.counter("sst_m_total", {{"a", "1"}, {"b", "2"}}).inc();
-    r.counter("sst_esc_total", {{"path", "a\\b\"c\nd"}}).inc();
-
-    const std::string text = r.renderText();
-    // Same canonical key -> one series with both increments.
-    EXPECT_NE(text.find("sst_m_total{a=\"1\",b=\"2\"} 2\n"),
-              std::string::npos);
-    EXPECT_NE(
-        text.find("sst_esc_total{path=\"a\\\\b\\\"c\\nd\"} 1\n"),
-        std::string::npos);
-}
-
-TEST(Metrics, ConcurrentIncrementsSumExactly)
-{
-    Registry r;
-    r.setEnabled(true);
-    constexpr int kThreads = 8;
-    constexpr std::uint64_t kIncsPerThread = 20000;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&r] {
-            // Each thread acquires its own handle to the same series.
-            CounterHandle c = r.counter("sst_concurrent_total");
-            for (std::uint64_t i = 0; i < kIncsPerThread; ++i)
-                c.inc();
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_NE(r.renderText().find("sst_concurrent_total 160000\n"),
-              std::string::npos);
-}
-
-TEST(Metrics, HistogramQuantilesFromBucketCounts)
-{
-    Histogram h({0.001, 0.01, 0.1, 1.0});
-    for (int i = 0; i < 90; ++i)
-        h.observe(0.0005); // first bucket
-    for (int i = 0; i < 9; ++i)
-        h.observe(0.05); // third bucket
-    h.observe(0.5); // fourth bucket
-    EXPECT_EQ(h.count(), 100u);
-    EXPECT_EQ(h.bucketCount(0), 90u);
-    EXPECT_EQ(h.bucketCount(2), 9u);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.001);
-    EXPECT_DOUBLE_EQ(h.quantile(0.95), 0.1);
-    EXPECT_DOUBLE_EQ(h.quantile(0.99), 0.1);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 1.0);
-}
 
 // ---- span tracer / Chrome trace export -------------------------------------
 
@@ -256,22 +140,25 @@ TEST(TelemetryDeterminism, BatchResultsAreByteIdenticalOnOrOff)
     DriverOptions opts;
     opts.jobs = 2;
 
-    Registry::global().reset();
-    SpanTracer::global().setEnabled(false);
+    SpanTracer &tracer = SpanTracer::global();
+    tracer.setEnabled(false);
+    tracer.clear();
     const std::vector<JobResult> off = runExperimentBatch(jobs, opts);
 
-    Registry::global().setEnabled(true);
-    SpanTracer::global().setEnabled(true);
+    tracer.setEnabled(true);
     const std::vector<JobResult> on = runExperimentBatch(jobs, opts);
-    SpanTracer::global().setEnabled(false);
-    SpanTracer::global().clear();
+    tracer.setEnabled(false);
+    const std::string json = tracer.chromeTraceJson();
+    tracer.clear();
 
-    // The instrumented run must actually have recorded something...
-    EXPECT_NE(Registry::global().renderText().find(
-                  "sst_driver_jobs_total{status=\"ok\"} 3"),
-              std::string::npos)
-        << Registry::global().renderText();
-    Registry::global().reset();
+    // The traced run must actually have recorded one job span per job...
+    const std::string job_begin =
+        "{\"name\":\"job\",\"cat\":\"driver\",\"ph\":\"B\"";
+    std::size_t job_spans = 0;
+    for (std::size_t pos = json.find(job_begin); pos != std::string::npos;
+         pos = json.find(job_begin, pos + 1))
+        ++job_spans;
+    EXPECT_EQ(job_spans, jobs.size()) << json;
 
     // ...and still produce byte-identical exported results.
     EXPECT_EQ(sweepCsv(jobs, off), sweepCsv(jobs, on));
