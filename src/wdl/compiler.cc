@@ -2,10 +2,11 @@
  * @file
  * WDL compiler back end: lowers a validated Program to deterministic
  * per-thread OpSource streams. Each thread interprets its group's
- * statement tree with an explicit frame stack and a buffered refill
- * (the ThreadProgram pattern), drawing every stochastic choice from a
- * per-thread Rng seeded by (group seed, local tid) so streams are pure
- * functions of the compiled IR and thread placement.
+ * statement tree with an explicit frame stack on the OpEmitter core it
+ * shares with ThreadProgram (buffered refill, warmup sweeps, memory
+ * references), drawing every stochastic choice from a per-thread Rng
+ * seeded by (group seed, local tid) so streams are pure functions of
+ * the compiled IR and thread placement.
  *
  * Parallel streams (any workload with > 1 total thread) emit warmup
  * sweeps, a warmup barrier, lock/barrier ops and an end-of-run
@@ -22,17 +23,12 @@
 
 #include "wdl/wdl.hh"
 #include "workload/op.hh"
+#include "workload/op_emitter.hh"
 
 namespace sst {
 namespace wdl {
 
 namespace {
-
-/** Bytes of lock-protected data per lock id (addrmap region stride). */
-constexpr Addr kLockDataBytes = 4096;
-
-/** Ops the interpreter accumulates per refill before yielding a batch. */
-constexpr std::size_t kRefillTarget = 256;
 
 /** SplitMix64-style finalizer mixing a group seed with a thread id. */
 std::uint64_t
@@ -97,43 +93,30 @@ struct ZipfGen
     }
 };
 
-/** One thread's interpreter over the statement tree. */
-class ProgramSource final : public OpSource
+/**
+ * One thread's interpreter over the statement tree, on the OpEmitter
+ * core. `memory` and `txn` statements are resumable: each draws its
+ * count when it starts, then emits one reference at a time, so a
+ * refill stops when its buffer is full, mid-statement.
+ */
+class ProgramSource final : public OpEmitter
 {
   public:
     ProgramSource(std::shared_ptr<const Program> prog, int group,
                   int local_tid, ThreadId data_tid, int group_threads,
                   std::uint64_t seed, bool parallel, int barrier_offset)
-        : prog_(std::move(prog)),
+        : OpEmitter(parallel, barrier_offset), prog_(std::move(prog)),
           group_(prog_->groups[static_cast<std::size_t>(group)]),
           groupIndex_(group), localTid_(local_tid), dataTid_(data_tid),
-          groupThreads_(group_threads), parallel_(parallel),
-          barrierOffset_(barrier_offset), rng_(threadSeed(seed, static_cast<std::uint64_t>(local_tid)))
+          groupThreads_(group_threads), barrierOffset_(barrier_offset),
+          rng_(threadSeed(seed, static_cast<std::uint64_t>(local_tid)))
     {
         precomputeZipf(group_.body);
-    }
-
-    Op
-    nextOp() override
-    {
-        if (finished_)
-            return Op::end();
-        if (cursor_ >= buf_.size())
-            refill();
-        if (finished_)
-            return Op::end();
-        return buf_[cursor_++];
-    }
-
-    bool
-    finished() const override
-    {
-        return finished_;
+        addWarmupSweeps();
+        stack_.push_back(Frame{&group_.body, 0, 1, nullptr, 0});
     }
 
   private:
-    enum class RunPhase : std::uint8_t { kWarmup, kBody, kDone };
-
     struct Frame
     {
         const std::vector<Stmt> *body;
@@ -164,34 +147,40 @@ class ProgramSource final : public OpSource
         }
     }
 
+    /** Pre-RoI warmup: the private and group-shared regions, rounded
+     *  up to whole lines, then every lock's protected data. Lock ids
+     *  are dense from 0, so their adjacent regions form one sweep. */
     void
-    refill()
+    addWarmupSweeps()
     {
-        buf_.clear();
-        cursor_ = 0;
-        if (phase_ == RunPhase::kWarmup) {
-            emitWarmup();
-            phase_ = RunPhase::kBody;
-            stack_.push_back(Frame{&group_.body, 0, 1, nullptr, 0});
-            return;
-        }
-        while (phase_ == RunPhase::kBody && buf_.size() < kRefillTarget) {
-            if (!step()) {
-                if (parallel_)
-                    buf_.push_back(
-                        Op::barrier(prog_->barrierSlots + barrierOffset_));
-                phase_ = RunPhase::kDone;
-            }
-        }
-        if (buf_.empty() && phase_ == RunPhase::kDone)
-            finished_ = true;
+        auto lines = [](std::uint64_t bytes) {
+            return (bytes + kLineBytes - 1) / kLineBytes;
+        };
+        addSweep(addrmap::privateBase(dataTid_), lines(group_.privateBytes),
+                 0x30000);
+        addSweep(addrmap::groupSharedBase(groupIndex_),
+                 lines(group_.sharedBytes), 0x30010);
+        std::uint64_t ids = 0;
+        for (const LockDecl &l : prog_->locks)
+            ids += l.size;
+        addSweep(addrmap::lockDataBase(0),
+                 ids * lines(addrmap::kLockDataBytes), 0x30020);
     }
 
-    /** Advance the interpreter by one statement/frame event. Returns
-     *  false once the whole group body has been executed. */
+    /** Advance the interpreter by one statement/frame event, or resume
+     *  the memory/txn statement in progress. Past the end of the group
+     *  body, emits the end-of-run rendezvous and returns false. */
     bool
-    step()
+    step() override
     {
+        if (cur_) {
+            // Until the refill is full or the statement ends (cur_ = null).
+            if (cur_->kind == Stmt::Kind::kMemory)
+                resumeMemory(*cur_);
+            else
+                resumeTxn(*cur_);
+            return true;
+        }
         while (!stack_.empty()) {
             Frame &f = stack_.back();
             if (f.idx >= f.body->size()) {
@@ -206,12 +195,11 @@ class ProgramSource final : public OpSource
                 if (owner) {
                     if (owner->kind == Stmt::Kind::kLock) {
                         lockStack_.pop_back();
-                        if (parallel_)
-                            buf_.push_back(Op::lockRelease(lockId));
+                        if (parallel())
+                            emit(Op::lockRelease(lockId));
                     } else if (owner->kind == Stmt::Kind::kPhase) {
-                        if (parallel_)
-                            buf_.push_back(
-                                Op::barrier(owner->barrier + barrierOffset_));
+                        if (parallel())
+                            emit(Op::barrier(owner->barrier + barrierOffset_));
                     }
                 }
                 if (!stack_.empty())
@@ -224,22 +212,22 @@ class ProgramSource final : public OpSource
             case Stmt::Kind::kCompute: {
                 const std::uint64_t n = s.count.draw(rng_);
                 if (n > 0)
-                    buf_.push_back(Op::compute(clampCount(n)));
+                    emit(Op::compute(clampCount(n)));
                 ++f.idx;
                 break;
             }
             case Stmt::Kind::kMemory:
-                emitMemory(s);
+            case Stmt::Kind::kTxn:
                 ++f.idx;
+                cur_ = &s; // emitted by the next steps
+                left_ = s.count.draw(rng_);
+                if (s.kind == Stmt::Kind::kTxn)
+                    txnGen_ = &zipf_.at(&s);
                 break;
             case Stmt::Kind::kBarrier:
             case Stmt::Kind::kYield:
-                if (parallel_)
-                    buf_.push_back(Op::barrier(s.barrier + barrierOffset_));
-                ++f.idx;
-                break;
-            case Stmt::Kind::kTxn:
-                emitTxn(s);
+                if (parallel())
+                    emit(Op::barrier(s.barrier + barrierOffset_));
                 ++f.idx;
                 break;
             case Stmt::Kind::kLoop: {
@@ -253,8 +241,8 @@ class ProgramSource final : public OpSource
             }
             case Stmt::Kind::kLock: {
                 const LockId id = resolveLock(s);
-                if (parallel_)
-                    buf_.push_back(Op::lockAcquire(id));
+                if (parallel())
+                    emit(Op::lockAcquire(id));
                 lockStack_.push_back(id);
                 stack_.push_back(Frame{&s.body, 0, 1, &s, id});
                 break;
@@ -265,6 +253,8 @@ class ProgramSource final : public OpSource
             }
             return true;
         }
+        if (parallel())
+            emit(Op::barrier(prog_->barrierSlots + barrierOffset_));
         return false;
     }
 
@@ -307,87 +297,69 @@ class ProgramSource final : public OpSource
         return n > UINT32_MAX ? UINT32_MAX : static_cast<std::uint32_t>(n);
     }
 
+    /** `memory`: one reference per element, address drawn first. */
     void
-    emitMemRef(Addr addr, bool store)
+    resumeMemory(const Stmt &s)
     {
-        const PC pc = 0x40000 + (memSlot_++ % 64) * 4;
-        buf_.push_back(store ? Op::store(addr, pc) : Op::load(addr, pc));
-    }
-
-    void
-    emitMemory(const Stmt &s)
-    {
-        const std::uint64_t n = s.count.draw(rng_);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Addr base = 0;
-            std::uint64_t span = 0;
-            switch (s.region) {
-            case Region::kPrivate:
-                base = addrmap::privateBase(dataTid_);
-                span = group_.privateBytes;
-                break;
-            case Region::kShared:
-                base = addrmap::groupSharedBase(groupIndex_);
-                span = group_.sharedBytes;
-                break;
-            case Region::kData:
-                base = addrmap::lockDataBase(lockStack_.back());
-                span = kLockDataBytes;
-                break;
-            }
+        Addr base = 0;
+        std::uint64_t span = 0;
+        switch (s.region) {
+        case Region::kPrivate:
+            base = addrmap::privateBase(dataTid_);
+            span = group_.privateBytes;
+            break;
+        case Region::kShared:
+            base = addrmap::groupSharedBase(groupIndex_);
+            span = group_.sharedBytes;
+            break;
+        case Region::kData:
+            base = addrmap::lockDataBase(lockStack_.back());
+            span = addrmap::kLockDataBytes;
+            break;
+        }
+        for (; left_ > 0 && room(); --left_) {
             const Addr addr = span ? base + rng_.below(span) : base;
             emitMemRef(addr, rng_.chance(s.storeFrac));
         }
+        if (left_ == 0)
+            cur_ = nullptr;
     }
 
+    /** `txn`: each operation opens with its key, read/write, compute
+     *  and reference-count draws (acquire + compute), then emits its
+     *  references one at a time, then the release. */
     void
-    emitTxn(const Stmt &s)
+    resumeTxn(const Stmt &s)
     {
-        const ZipfGen &gen = zipf_.at(&s);
-        const LockDecl &decl = prog_->locks[static_cast<std::size_t>(s.lock)];
-        const std::uint64_t ops = s.count.draw(rng_);
-        for (std::uint64_t i = 0; i < ops; ++i) {
-            const LockId id = static_cast<LockId>(
-                static_cast<std::uint64_t>(decl.firstId) + gen.draw(rng_));
-            const bool write = !rng_.chance(s.rwRatio);
-            if (parallel_)
-                buf_.push_back(Op::lockAcquire(id));
-            const std::uint64_t c = s.csCompute.draw(rng_);
-            if (c > 0)
-                buf_.push_back(Op::compute(clampCount(c)));
-            const std::uint64_t m = s.csMemory.draw(rng_);
-            for (std::uint64_t j = 0; j < m; ++j)
-                emitMemRef(addrmap::lockDataBase(id) +
-                               rng_.below(kLockDataBytes),
-                           write);
-            if (parallel_)
-                buf_.push_back(Op::lockRelease(id));
-        }
-    }
-
-    /** Pre-RoI warmup: sweep the private and group-shared regions and
-     *  every lock's protected data so the RoI starts from warmed caches,
-     *  then rendezvous (parallel runs) and open the RoI. */
-    void
-    emitWarmup()
-    {
-        const Addr pbase = addrmap::privateBase(dataTid_);
-        for (Addr off = 0; off < group_.privateBytes; off += kLineBytes)
-            buf_.push_back(Op::load(pbase + off, 0x30000));
-        const Addr sbase = addrmap::groupSharedBase(groupIndex_);
-        for (Addr off = 0; off < group_.sharedBytes; off += kLineBytes)
-            buf_.push_back(Op::load(sbase + off, 0x30010));
-        for (const LockDecl &l : prog_->locks) {
-            for (std::uint64_t k = 0; k < l.size; ++k) {
-                const Addr base = addrmap::lockDataBase(
-                    static_cast<LockId>(static_cast<std::uint64_t>(l.firstId) + k));
-                for (Addr off = 0; off < kLockDataBytes; off += kLineBytes)
-                    buf_.push_back(Op::load(base + off, 0x30020));
+        while (room()) {
+            if (txnTail_ == 0) {
+                if (left_ == 0) {
+                    cur_ = nullptr;
+                    return;
+                }
+                --left_;
+                const LockDecl &decl =
+                    prog_->locks[static_cast<std::size_t>(s.lock)];
+                txnLock_ = static_cast<LockId>(
+                    static_cast<std::uint64_t>(decl.firstId) +
+                    txnGen_->draw(rng_));
+                txnWrite_ = !rng_.chance(s.rwRatio);
+                if (parallel())
+                    emit(Op::lockAcquire(txnLock_));
+                const std::uint64_t c = s.csCompute.draw(rng_);
+                if (c > 0)
+                    emit(Op::compute(clampCount(c)));
+                // Ops open only when txn_ops > 0, and then the parser
+                // caps memory= at kMaxStatementOps: the +1 cannot wrap.
+                txnTail_ = s.csMemory.draw(rng_) + 1;
+            } else if (--txnTail_ > 0) {
+                emitMemRef(addrmap::lockDataBase(txnLock_) +
+                               rng_.below(addrmap::kLockDataBytes),
+                           txnWrite_);
+            } else if (parallel()) {
+                emit(Op::lockRelease(txnLock_));
             }
         }
-        if (parallel_)
-            buf_.push_back(Op::barrier(kWarmupBarrierId + barrierOffset_));
-        buf_.push_back(Op::roiBegin());
     }
 
     std::shared_ptr<const Program> prog_;
@@ -396,18 +368,20 @@ class ProgramSource final : public OpSource
     int localTid_;
     ThreadId dataTid_;
     int groupThreads_;
-    bool parallel_;
     int barrierOffset_;
     Rng rng_;
     std::unordered_map<const Stmt *, ZipfGen> zipf_;
 
     std::vector<LockId> lockStack_;
     std::vector<Frame> stack_;
-    std::vector<Op> buf_;
-    std::size_t cursor_ = 0;
-    std::uint64_t memSlot_ = 0;
-    RunPhase phase_ = RunPhase::kWarmup;
-    bool finished_ = false;
+
+    // The memory/txn statement in progress (null between statements).
+    const Stmt *cur_ = nullptr;
+    std::uint64_t left_ = 0;          ///< references / txn ops not started
+    const ZipfGen *txnGen_ = nullptr; ///< txn: key generator
+    LockId txnLock_ = 0;              ///< txn: the open op's lock
+    bool txnWrite_ = false;
+    std::uint64_t txnTail_ = 0; ///< txn: open op's references + release
 };
 
 /** Strip directory and a trailing ".wdl" from @p path for display. */

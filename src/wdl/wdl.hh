@@ -46,8 +46,10 @@ inline constexpr std::uint64_t kMaxLockIds = 1024;
 /** Largest private/shared region a group may request. */
 inline constexpr std::uint64_t kMaxRegionBytes = 64ull * 1024 * 1024;
 
-/** Most ops one `memory` or `txn` statement may emit. The compiler
- *  buffers a statement's ops in one go, so this bounds its memory. */
+/** Most ops one `memory` or `txn` statement may emit, checked at parse
+ *  time. The compiler emits statements one reference at a time, so this
+ *  no longer bounds buffering; it bounds how much work one statement
+ *  can ask for (wrap larger amounts in a loop). */
 inline constexpr std::uint64_t kMaxStatementOps = std::uint64_t(1) << 20;
 
 /** A cycle/count argument: a constant or a uniform integer range. */

@@ -168,13 +168,17 @@ groupSharedBase(int group)
                             static_cast<Addr>(group) * 0x10'0000'0000ULL;
 }
 
+/** Bytes of lock-protected data per lock id (the lockDataBase stride). */
+inline constexpr Addr kLockDataBytes = 4096;
+
 /** Base of the lock-protected shared data region for lock @p id. */
 constexpr Addr
 lockDataBase(LockId id)
 {
     return id < kGroupSyncStride
-               ? 0xA000'0000ULL + static_cast<Addr>(id) * 4096
-               : 0x6800'0000'0000ULL + static_cast<Addr>(id) * 4096;
+               ? 0xA000'0000ULL + static_cast<Addr>(id) * kLockDataBytes
+               : 0x6800'0000'0000ULL +
+                     static_cast<Addr>(id) * kLockDataBytes;
 }
 
 /** Address of the lock word for lock @p id (one cache line each). */

@@ -3,10 +3,11 @@
  * OpSource: the abstract per-thread op-stream interface the CMP
  * simulator consumes. The simulator is workload-agnostic — it pulls one
  * Op at a time and never inspects how the stream is produced — so any
- * frontend that can emit the op DSL plugs in here: the synthetic
- * ThreadProgram generator, the binary-trace replay frontend
- * (TraceProgram), and future scenario generators (pipelines,
- * producer/consumer graphs, ...).
+ * frontend that can emit the op DSL plugs in here: the two synthetic
+ * generators (ThreadProgram for the registered profiles and the WDL
+ * interpreter), which share the buffered OpEmitter core
+ * (workload/op_emitter.hh), and the binary-trace replay frontend
+ * (TraceProgram).
  *
  * Contract: nextOp() delivers the stream in order and returns the kEnd
  * op exactly once as the final element (then Op::end() forever);

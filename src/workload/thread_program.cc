@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/logging.hh"
 
@@ -48,7 +49,8 @@ ThreadProgram::activeThreads(const BenchmarkProfile &p, int nthreads,
 
 ThreadProgram::ThreadProgram(const BenchmarkProfile &profile, ThreadId tid,
                              int nthreads, const ThreadScope &scope)
-    : prof_(profile), tid_(tid), nthreads_(nthreads), scope_(scope),
+    : OpEmitter(nthreads > 1 || scope.forceParallel, scope.barrierIdOffset),
+      prof_(profile), tid_(tid), nthreads_(nthreads), scope_(scope),
       dataTid_(scope.dataTid == kInvalidId ? tid : scope.dataTid),
       rng_(mix64(profile.seed, 0x7EAD, static_cast<std::uint64_t>(tid)))
 {
@@ -56,6 +58,7 @@ ThreadProgram::ThreadProgram(const BenchmarkProfile &profile, ThreadId tid,
     sstAssert(tid >= 0 && tid < nthreads, "ThreadProgram tid out of range");
     for (int ph = 0; ph < prof_.barrierPhases; ++ph)
         plannedIters_ += itersInPhase(ph);
+    addWarmupSweeps();
 }
 
 std::uint64_t
@@ -81,8 +84,6 @@ ThreadProgram::itersInPhase(int phase) const
     // All threads compute the same weight vector from shared hashes, so
     // the division is consistent without communication.
     double wsum = 0.0;
-    double wself = 0.0;
-    std::uint64_t assigned = 0;
     std::vector<double> w(static_cast<std::size_t>(active));
     for (int slot = 0; slot < active; ++slot) {
         const double u = signedUnit(mix64(prof_.seed, 0x5E3 + slot, phase));
@@ -90,63 +91,26 @@ ThreadProgram::itersInPhase(int phase) const
             1.0 + prof_.imbalanceSkew * u;
         wsum += w[static_cast<std::size_t>(slot)];
     }
-    wself = w[static_cast<std::size_t>(rot)];
 
     // Deterministic rounding: earlier slots take floor(share); the last
     // slot absorbs the remainder so the total is conserved exactly.
+    auto share = [&](int slot) {
+        return static_cast<std::uint64_t>(std::floor(
+            phase_iters * w[static_cast<std::size_t>(slot)] / wsum));
+    };
     std::uint64_t before = 0;
-    for (int slot = 0; slot < active; ++slot) {
-        const std::uint64_t share = static_cast<std::uint64_t>(
-            std::floor(phase_iters * w[static_cast<std::size_t>(slot)] /
-                       wsum));
-        if (slot < rot)
-            before += share;
-        if (slot == rot)
-            assigned = share;
-    }
-    if (rot == active - 1) {
-        // Recompute exact remainder for the last active slot.
-        std::uint64_t others = 0;
-        for (int slot = 0; slot < active - 1; ++slot) {
-            others += static_cast<std::uint64_t>(std::floor(
-                phase_iters * w[static_cast<std::size_t>(slot)] / wsum));
-        }
-        assigned = phase_iters - others;
-    }
-    (void)before;
-    (void)wself;
-    return assigned;
+    for (int slot = 0; slot < rot; ++slot)
+        before += share(slot);
+    return rot == active - 1 ? phase_iters - before : share(rot);
 }
 
-Op
-ThreadProgram::nextOp()
+bool
+ThreadProgram::step()
 {
-    if (finished_)
-        return Op::end();
-    if (cursor_ >= buf_.size())
-        refill();
-    if (finished_)
-        return Op::end();
-    return buf_[cursor_++];
-}
-
-void
-ThreadProgram::refill()
-{
-    buf_.clear();
-    cursor_ = 0;
-
-    if (!warmupDone_) {
-        emitWarmup();
-        return;
-    }
-
     const int phases = std::max(1, prof_.barrierPhases);
     for (;;) {
-        if (phase_ >= phases) {
-            finished_ = true;
-            return;
-        }
+        if (phase_ >= phases)
+            return false;
         if (!phaseInitDone_) {
             phaseItersLeft_ = itersInPhase(phase_);
             phaseInitDone_ = true;
@@ -154,45 +118,28 @@ ThreadProgram::refill()
         if (phaseItersLeft_ > 0) {
             --phaseItersLeft_;
             emitIteration();
-            return;
+            return true;
         }
         // Phase complete: emit the phase barrier (multi-threaded only) and
         // move on. The very last barrier is controlled by finalBarrier.
         const bool last = (phase_ == phases - 1);
         ++phase_;
         phaseInitDone_ = false;
-        if (parallelMode() && (!last || prof_.finalBarrier)) {
-            buf_.push_back(Op::barrier(phase_ - 1 +
-                                       scope_.barrierIdOffset));
-            return;
+        if (parallel() && (!last || prof_.finalBarrier)) {
+            emit(Op::barrier(phase_ - 1 + scope_.barrierIdOffset));
+            return true;
         }
     }
 }
 
 void
-ThreadProgram::emitWarmup()
+ThreadProgram::addWarmupSweeps()
 {
-    // Pre-RoI warmup, mirroring SPLASH-2/PARSEC methodology: every
-    // thread sweeps its private region once so the measured region of
-    // interest starts with warm caches (the paper's results are gathered
-    // from the parallel fraction with the same property). A barrier
-    // aligns the threads, then kRoiBegin resets the measurements.
-    //
-    // The sweeps run to hundreds of thousands of loads (an 8 MB private
-    // region is 131,072 lines), so each refill emits the next
-    // kWarmupChunk of them, resuming at warmupEmitted_, rather than
-    // buffering them all for every thread at once.
-    struct Sweep
-    {
-        Addr base;
-        std::uint64_t lines;
-        PC pc;
-    };
-    std::vector<Sweep> sweeps;
+    // Every thread sweeps its private region once (the OpEmitter warmup).
     const Addr priv = addrmap::privateBase(dataTid_);
     const std::uint64_t lines =
         std::max<std::uint64_t>(prof_.privateBytes, kLineBytes) / kLineBytes;
-    sweeps.push_back({priv, lines, 0x30000});
+    addSweep(priv, lines, 0x30000);
     // Re-touch the hot window last so it is MRU when measurement
     // starts; otherwise the LRU sweep order would leave exactly the
     // lines the RoI uses first in line for eviction, creating an
@@ -204,7 +151,7 @@ ThreadProgram::emitWarmup()
                                        prof_.privateBytes)) /
         kLineBytes;
     if (priv_hot < lines)
-        sweeps.push_back({priv, priv_hot, 0x30001});
+        addSweep(priv, priv_hot, 0x30001);
     // Also sweep the initial shared hot window so steady-state
     // positive interference reflects window movement, not the
     // first-touch transient (each core's ATD must know the lines a
@@ -212,35 +159,14 @@ ThreadProgram::emitWarmup()
     const std::uint64_t hot =
         std::min<std::uint64_t>(prof_.sharedHotBytes, prof_.sharedBytes);
     if (prof_.sharedFrac > 0.0 && hot > 0)
-        sweeps.push_back({scope_.sharedBase, hot / kLineBytes, 0x30010});
+        addSweep(scope_.sharedBase, hot / kLineBytes, 0x30010);
     // Lock-protected data regions are shared too: sweep them so CS
     // accesses do not register as first-touch positive interference.
-    for (int lk = 0; lk < prof_.numLocks; ++lk) {
-        sweeps.push_back({addrmap::lockDataBase(lk + scope_.lockIdOffset),
-                          4096 / kLineBytes, 0x30020});
-    }
-
-    std::uint64_t skip = warmupEmitted_;
-    for (const Sweep &sw : sweeps) {
-        if (skip >= sw.lines) {
-            skip -= sw.lines;
-            continue;
-        }
-        for (std::uint64_t l = skip; l < sw.lines; ++l) {
-            if (buf_.size() == kWarmupChunk)
-                return;
-            buf_.push_back(Op::load(sw.base + l * kLineBytes, sw.pc));
-            ++warmupEmitted_;
-        }
-        skip = 0;
-    }
-    if (!buf_.empty())
-        return; // the rendezvous goes in the next refill
-    warmupDone_ = true;
-    if (parallelMode())
-        buf_.push_back(
-            Op::barrier(kWarmupBarrierId + scope_.barrierIdOffset));
-    buf_.push_back(Op::roiBegin());
+    // Consecutive lock ids own adjacent regions: one sweep covers all.
+    addSweep(addrmap::lockDataBase(scope_.lockIdOffset),
+             static_cast<std::uint64_t>(prof_.numLocks) *
+                 (addrmap::kLockDataBytes / kLineBytes),
+             0x30020);
 }
 
 void
@@ -250,23 +176,20 @@ ThreadProgram::emitIteration()
     // extra instructions for work division, communication and redundant
     // computation, per Section 3.5 of the paper.
     std::uint32_t overhead_instr = 4;
-    if (parallelMode()) {
+    if (parallel()) {
         overhead_instr += static_cast<std::uint32_t>(std::lround(
             prof_.parOverheadFrac *
             (prof_.computePerIter + prof_.memPerIter)));
     }
-    buf_.push_back(Op::compute(overhead_instr));
-    instrEmitted_ += overhead_instr;
+    emit(Op::compute(overhead_instr));
 
     // First half of the iteration's compute.
     const std::uint32_t c1 = static_cast<std::uint32_t>(
         prof_.computePerIter / 2);
     const std::uint32_t c2 = static_cast<std::uint32_t>(
         prof_.computePerIter - static_cast<int>(c1));
-    if (c1 > 0) {
-        buf_.push_back(Op::compute(c1));
-        instrEmitted_ += c1;
-    }
+    if (c1 > 0)
+        emit(Op::compute(c1));
 
     // Memory references. Shared data is read-mostly: the store
     // probability depends on the region the reference targets.
@@ -274,49 +197,31 @@ ThreadProgram::emitIteration()
         const Addr addr = pickDataAddr();
         const bool shared = addr >= scope_.sharedBase &&
                             addr < scope_.sharedBase + prof_.sharedBytes;
-        emitMemRef(rng_.chance(shared ? prof_.sharedStoreFrac
-                                      : prof_.storeFrac),
-                   addr);
+        emitMemRef(addr, rng_.chance(shared ? prof_.sharedStoreFrac
+                                            : prof_.storeFrac));
     }
 
-    if (c2 > 0) {
-        buf_.push_back(Op::compute(c2));
-        instrEmitted_ += c2;
-    }
+    if (c2 > 0)
+        emit(Op::compute(c2));
 
     // Critical section (parallel mode); in the sequential program the same
     // work is done without lock operations.
     if (prof_.numLocks > 0 && rng_.chance(prof_.lockFreq)) {
         const LockId lock = static_cast<LockId>(
             rng_.below(static_cast<std::uint64_t>(prof_.numLocks)));
-        if (parallelMode()) {
-            buf_.push_back(Op::lockAcquire(lock + scope_.lockIdOffset));
-            instrEmitted_ += kLockOpInstrs;
+        if (parallel())
+            emit(Op::lockAcquire(lock + scope_.lockIdOffset));
+        if (prof_.csCompute > 0)
+            emit(Op::compute(static_cast<std::uint32_t>(prof_.csCompute)));
+        for (int m = 0; m < prof_.csMem; ++m) {
+            // Two draws per reference, address first: sequenced here,
+            // not left to argument evaluation order.
+            const Addr addr = pickCsAddr(lock);
+            emitMemRef(addr, rng_.chance(0.5));
         }
-        if (prof_.csCompute > 0) {
-            buf_.push_back(Op::compute(
-                static_cast<std::uint32_t>(prof_.csCompute)));
-            instrEmitted_ += static_cast<std::uint32_t>(prof_.csCompute);
-        }
-        for (int m = 0; m < prof_.csMem; ++m)
-            emitMemRef(rng_.chance(0.5), pickCsAddr(lock));
-        if (parallelMode()) {
-            buf_.push_back(Op::lockRelease(lock + scope_.lockIdOffset));
-            instrEmitted_ += kLockOpInstrs;
-        }
+        if (parallel())
+            emit(Op::lockRelease(lock + scope_.lockIdOffset));
     }
-}
-
-void
-ThreadProgram::emitMemRef(bool is_store, Addr addr)
-{
-    const PC pc = 0x40000 + (memSlot_ % 64) * 4;
-    ++memSlot_;
-    if (is_store)
-        buf_.push_back(Op::store(addr, pc));
-    else
-        buf_.push_back(Op::load(addr, pc));
-    instrEmitted_ += 1;
 }
 
 Addr
@@ -374,7 +279,7 @@ Addr
 ThreadProgram::pickCsAddr(LockId lock)
 {
     return addrmap::lockDataBase(lock + scope_.lockIdOffset) +
-           rng_.below(4096);
+           rng_.below(addrmap::kLockDataBytes);
 }
 
 } // namespace sst

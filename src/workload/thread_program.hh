@@ -19,12 +19,11 @@
 #define SST_WORKLOAD_THREAD_PROGRAM_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "util/rng.hh"
 #include "util/types.hh"
 #include "workload/op.hh"
-#include "workload/op_source.hh"
+#include "workload/op_emitter.hh"
 #include "workload/profile.hh"
 
 namespace sst {
@@ -58,24 +57,11 @@ struct ThreadScope
 };
 
 /** Deterministic generator of one thread's op stream. */
-class ThreadProgram : public OpSource
+class ThreadProgram : public OpEmitter
 {
   public:
     ThreadProgram(const BenchmarkProfile &profile, ThreadId tid,
                   int nthreads, const ThreadScope &scope = ThreadScope{});
-
-    /** Next op of the stream; returns Op::end() forever once finished. */
-    Op nextOp() override;
-
-    /** True once the stream has delivered its kEnd op. */
-    bool finished() const override { return finished_; }
-
-    /**
-     * Total instructions emitted so far (compute counts + one per memory
-     * reference + fixed costs for lock ops). Spin-loop instructions are
-     * *not* included — the core model executes and counts those.
-     */
-    std::uint64_t instructionsEmitted() const { return instrEmitted_; }
 
     /** Number of iterations this thread executes across all phases. */
     std::uint64_t plannedIters() const { return plannedIters_; }
@@ -92,19 +78,15 @@ class ThreadProgram : public OpSource
     static constexpr std::uint32_t kLockOpInstrs = 8;
 
   private:
-    void refill();
-    /** Next chunk of the pre-RoI warmup (see kWarmupChunk). */
-    void emitWarmup();
+    /** One loop iteration, or the barrier closing a phase. */
+    bool step() override;
+    void addWarmupSweeps();
     void emitIteration();
-    void emitMemRef(bool isStore, Addr addr);
     Addr pickDataAddr();
     Addr pickCsAddr(LockId lock);
 
     /** Iterations assigned to this thread in @p phase. */
     std::uint64_t itersInPhase(int phase) const;
-
-    /** Parallel program mode: sync ops + parallelization overhead. */
-    bool parallelMode() const { return nthreads_ > 1 || scope_.forceParallel; }
 
     const BenchmarkProfile &prof_;
     ThreadId tid_;
@@ -113,22 +95,11 @@ class ThreadProgram : public OpSource
     ThreadId dataTid_; ///< resolved scope_.dataTid (private region base)
     Rng rng_;
 
-    std::vector<Op> buf_;
-    std::size_t cursor_ = 0;
-
     int phase_ = 0;
     std::uint64_t phaseItersLeft_ = 0;
     bool phaseInitDone_ = false;
-    /** Most warmup loads one refill buffers. */
-    static constexpr std::size_t kWarmupChunk = 256;
 
-    bool warmupDone_ = false;
-    std::uint64_t warmupEmitted_ = 0; ///< warmup loads emitted so far
-    bool finished_ = false;
-
-    std::uint64_t instrEmitted_ = 0;
     std::uint64_t plannedIters_ = 0;
-    std::uint64_t memSlot_ = 0;
     Addr streamCursor_ = 0;
 };
 

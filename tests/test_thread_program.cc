@@ -9,6 +9,7 @@
 
 #include <map>
 
+#include "sim/system.hh"
 #include "test_util.hh"
 #include "workload/thread_program.hh"
 
@@ -165,17 +166,14 @@ TEST(ThreadProgram, InstructionsGrowWithParallelOverhead)
 {
     BenchmarkProfile p = test::computeOnlyProfile();
     p.parOverheadFrac = 0.25;
-    ThreadProgram seq(p, 0, 1);
-    consume(seq);
-    std::uint64_t par_instr = 0;
-    for (int t = 0; t < 4; ++t) {
-        ThreadProgram prog(p, t, 4);
-        consume(prog);
-        par_instr += prog.instructionsEmitted();
-    }
-    // Parallel emits >= ~20% more instructions than sequential.
-    EXPECT_GT(static_cast<double>(par_instr),
-              1.15 * static_cast<double>(seq.instructionsEmitted()));
+    // Program instructions the cores committed (totalInstructions
+    // already excludes spin-loop instructions).
+    auto programInstrs = [&](int nthreads) {
+        return static_cast<double>(
+            simulate(SimParams{}, p, nthreads).totalInstructions);
+    };
+    // Parallel runs >= ~20% more instructions than sequential.
+    EXPECT_GT(programInstrs(4), 1.15 * programInstrs(1));
 }
 
 TEST(ThreadProgram, WarmupSweepsPrivateRegion)
