@@ -118,33 +118,19 @@ printBatchTable(const std::vector<JobSpec> &jobs,
                     err.mean() * 100.0);
 }
 
-void
-printBatchStats(const ExperimentDriver &driver)
-{
-    const BatchStats &stats = driver.stats();
-    std::printf(
-        "batch: %zu jobs, %zu executed, %zu cached, %zu deduped, "
-        "%zu failed, %zu baselines, %zu trace replays, "
-        "%zu traces recorded, %d workers\n",
-        stats.total, stats.executed, stats.cached, stats.deduped,
-        stats.failed, stats.baselinesComputed, stats.traceReplays,
-        stats.tracesRecorded, driver.workerCount());
-}
-
-/** Run a grid, print, export — the tail shared by sweep and run.
+/** Run a validated spec's grid, print, export.
  *  A non-empty @p trace_out enables telemetry for the batch and writes
  *  a Chrome trace_event JSON of every job/driver span afterwards;
  *  results are bit-identical either way (telemetry is write-only). */
 int
-executeBatch(const SweepGrid &grid, const DriverOptions &opts, bool quiet,
-             const std::string &csv_path, const std::string &json_path,
+executeBatch(const ExperimentSpec &spec, const DriverOptions &opts,
              const std::string &trace_out)
 {
     const bool tracing = !trace_out.empty();
     if (tracing)
         telemetry::SpanTracer::global().setEnabled(true);
 
-    const std::vector<JobSpec> jobs = expandGrid(grid);
+    const std::vector<JobSpec> jobs = expandGrid(spec.grid);
     ExperimentDriver driver(opts);
     const std::vector<JobResult> results = driver.runBatch(jobs);
 
@@ -157,61 +143,78 @@ executeBatch(const SweepGrid &grid, const DriverOptions &opts, bool quiet,
         writeFile(trace_out, tracer.chromeTraceJson());
     }
 
-    if (!quiet)
-        printBatchTable(jobs, results, !grid.cores.empty(),
-                        !grid.llcBytes.empty());
-    printBatchStats(driver);
+    if (!spec.quiet)
+        printBatchTable(jobs, results, !spec.grid.cores.empty(),
+                        !spec.grid.llcBytes.empty());
+    const BatchStats &stats = driver.stats();
+    std::printf(
+        "batch: %zu jobs, %zu executed, %zu cached, %zu deduped, "
+        "%zu failed, %zu baselines, %zu trace replays, "
+        "%zu traces recorded, %d workers\n",
+        stats.total, stats.executed, stats.cached, stats.deduped,
+        stats.failed, stats.baselinesComputed, stats.traceReplays,
+        stats.tracesRecorded, driver.workerCount());
 
-    if (!csv_path.empty())
-        writeFile(csv_path, sweepCsv(jobs, results));
-    if (!json_path.empty())
-        writeFile(json_path, sweepJson(jobs, results));
+    if (!spec.csvPath.empty())
+        writeFile(spec.csvPath, sweepCsv(jobs, results));
+    if (!spec.jsonPath.empty())
+        writeFile(spec.jsonPath, sweepJson(jobs, results));
 
-    return driver.stats().failed == 0 ? 0 : 2;
+    return stats.failed == 0 ? 0 : 2;
 }
 
-// ---- sweep ------------------------------------------------------------------
+// ---- run / sweep -----------------------------------------------------------
+
+/** Flags that set one spec key: `--threads 2,4` is `--set threads=2,4`. */
+struct SpecFlag
+{
+    const char *flag;
+    const char *key;
+    const char *arg;
+    const char *help;
+};
+
+constexpr SpecFlag kSpecFlags[] = {
+    {"--profiles", "profiles", "all|A,B,...", "benchmark labels (default: all)"},
+    {"--mix", "workload", "LIST", "mixes/pipelines (`sst list mixes`), a:8+b:8"},
+    {"--workload-file", "workload-file", "FILE", "a .wdl file (repeatable)"},
+    {"--threads", "threads", "LIST", "thread counts (default: 16)"},
+    {"--cores", "cores", "LIST", "core counts (default: = threads)"},
+    {"--llc", "llc", "LIST", "LLC sizes, e.g. 1M,2M,4M,8M"},
+    {"--seed-offset", "seed-offset", "K", "replication RNG stream"},
+    {"--sched", "sched", "POLICY", "scheduler policy"},
+    {"--sched-seed", "sched-seed", "K", "RNG stream for --sched random"},
+    {"--trace-dir", "trace-dir", "DIR", "replay recorded op traces from DIR"},
+    {"--csv", "output.csv", "FILE", "write results as CSV"},
+    {"--json", "output.json", "FILE", "write results as JSON"},
+};
 
 void
-sweepUsage()
+batchUsage(const char *cmd)
 {
+    std::printf("usage: sst %s [--spec FILE] [options]\n"
+                "run an experiment grid given by a spec file (see\n"
+                "examples/specs/), by flags, or both: flags apply after\n"
+                "the file, in command-line order\n"
+                "  --spec FILE             start from this spec file\n"
+                "  --set KEY=VALUE         set one spec key (repeatable)\n",
+                cmd);
+    for (const SpecFlag &f : kSpecFlags) {
+        const std::string lhs = std::string(f.flag) + " " + f.arg;
+        std::printf("  %-23s %s\n", lhs.c_str(), f.help);
+    }
     std::printf(
-        "usage: sst sweep [options]\n"
-        "  --profiles all|A,B,...  benchmark labels (default: all)\n"
-        "  --mix LIST              heterogeneous workloads: registered\n"
-        "                          mixes/pipelines (`sst list mixes`) or\n"
-        "                          inline a:8+b:8 / s1:1>s2:2 descriptors\n"
-        "                          (replaces --profiles/--threads)\n"
-        "  --workload-file FILE    compile a .wdl workload description\n"
-        "                          (repeatable; see `sst list "
-        "workloads`;\n"
-        "                          replaces --profiles/--threads)\n"
-        "  --threads LIST          thread counts, e.g. 2,4,8,16 "
-        "(default: 16)\n"
-        "  --cores LIST            core counts (default: = threads;\n"
-        "                          fewer cores oversubscribes)\n"
-        "  --llc LIST              LLC sizes, e.g. 1M,2M,4M,8M "
-        "(default: params default)\n"
+        "  --quiet                 suppress the result table\n"
+        "  --print-spec            print the canonical spec and exit\n"
         "  --jobs N                worker threads (default: hardware)\n"
-        "  --seed-offset K         replication RNG stream (default: 0)\n"
         "  --cache-dir DIR         result cache (default: .sst-cache)\n"
         "  --no-cache              disable the result cache\n"
         "  --refresh               re-run and overwrite cached results\n"
-        "  --trace-dir DIR         replay recorded op traces from DIR\n"
-        "                          (see `sst trace record --trace-dir`)\n"
-        "  --record-dir DIR        capture .sstt traces of live jobs\n"
-        "                          into DIR as the batch runs (cache\n"
-        "                          hits skip capture)\n"
-        "  --sched POLICY          scheduler policy (default:\n"
-        "                          affinity-fifo)\n"
-        "  --sched-seed K          RNG stream for --sched random\n"
-        "  --csv FILE              write results as CSV\n"
-        "  --json FILE             write results as JSON\n"
-        "  --trace-out FILE        write a Chrome trace_event JSON of\n"
-        "                          the batch (load in Perfetto /\n"
-        "                          chrome://tracing)\n"
-        "  --quiet                 suppress the result table\n"
+        "  --record-dir DIR        capture .sstt traces of fresh jobs\n"
+        "  --trace-out FILE        write a Chrome trace_event JSON\n"
+        "spec keys: %s\n"
         "scheduler policies: %s\n",
+        specKeyNamesJoined().c_str(),
         allSchedPolicyLabelsJoined().c_str());
 }
 
@@ -222,11 +225,12 @@ traceUsage()
 {
     std::printf(
         "usage: sst trace <record|replay|info> [options]\n"
-        "  record --profile LABEL [--threads N] (--out FILE | "
-        "--trace-dir DIR)\n"
+        "  record --profile LABEL [--threads N] --trace-dir DIR\n"
         "         [--seed-offset K] [--sched POLICY] [--sched-seed K]\n"
         "         [--quiet]\n"
-        "      run the live experiment, write the op trace\n"
+        "      run the experiment as a one-job batch and write its op\n"
+        "      trace under its canonical name in DIR, where\n"
+        "      `sst sweep --trace-dir DIR` finds it\n"
         "  replay --in FILE [--sched POLICY] [--quiet]\n"
         "      re-simulate from the trace (no workload generation);\n"
         "      --sched must match the recorded policy (it documents\n"
@@ -265,72 +269,54 @@ printExperiment(const SpeedupExperiment &e)
 int
 traceRecord(int argc, char **argv, int first)
 {
-    std::string label, outPath, traceDir;
-    int nthreads = 16;
-    std::uint64_t seedOffset = 0;
-    SimParams params;
-    bool quiet = false;
-
+    ExperimentSpec spec;
+    DriverOptions opts; // one worker, no result cache
+    bool have_profile = false;
     for (int i = first; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--profile") {
-            label = argValue(argc, argv, i);
-        } else if (arg == "--threads") {
-            // The recording runs live on nthreads cores, so the
-            // simulator's core cap bounds this (the format itself
-            // allows up to trace::kMaxThreads streams).
-            nthreads =
-                parseInt("--threads", argValue(argc, argv, i), 1,
-                         static_cast<long>(kMaxSimCores));
-        } else if (arg == "--out") {
-            outPath = argValue(argc, argv, i);
+            applySpecValue(spec, "profiles", argValue(argc, argv, i));
+            have_profile = true;
         } else if (arg == "--trace-dir") {
-            traceDir = argValue(argc, argv, i);
-        } else if (arg == "--seed-offset") {
-            seedOffset =
-                parseU64("--seed-offset", argValue(argc, argv, i));
-        } else if (arg == "--sched") {
-            params.schedPolicy =
-                parseSchedPolicy(argValue(argc, argv, i));
-        } else if (arg == "--sched-seed") {
-            params.schedSeed =
-                parseU64("--sched-seed", argValue(argc, argv, i));
+            opts.recordDir = argValue(argc, argv, i);
+        } else if (arg == "--threads" || arg == "--seed-offset" ||
+                   arg == "--sched" || arg == "--sched-seed") {
+            applySpecValue(spec, arg.substr(2), argValue(argc, argv, i));
         } else if (arg == "--quiet") {
-            quiet = true;
+            spec.quiet = true;
         } else {
             traceUsage();
             fatal("unknown record argument '" + arg + "'");
         }
     }
-    if (label.empty())
+    if (!have_profile)
         fatal("record needs --profile (one of: " +
               allProfileLabelsJoined() + ")");
-    if (params.schedSeed != 0 &&
-        params.schedPolicy != SchedPolicy::kRandom) {
-        fatal("--sched-seed only affects --sched random; the "
-              "seed would be silently ignored");
-    }
-    if (outPath.empty() == traceDir.empty())
-        fatal("record needs exactly one of --out or --trace-dir");
+    if (opts.recordDir.empty())
+        fatal("record needs --trace-dir DIR");
+    validateSpec(spec);
+    const std::vector<JobSpec> jobs = expandGrid(spec.grid);
+    if (jobs.size() != 1)
+        fatal("record takes one profile and one thread count");
 
-    BenchmarkProfile profile = profileByLabel(label);
-    profile.seed = deriveJobSeed(profile.seed, seedOffset);
-
-    if (!traceDir.empty()) {
-        std::filesystem::create_directories(traceDir);
-        outPath = tracePathFor(traceDir, profile, nthreads, seedOffset,
-                               params.schedPolicy, params.schedSeed);
-    }
-
-    std::uint64_t ops = 0;
-    const SpeedupExperiment exp =
-        recordSpeedupTrace(params, profile, nthreads, outPath, &ops);
-    printExperiment(exp);
-    if (!quiet) {
-        const auto bytes = std::filesystem::file_size(outPath);
+    ExperimentDriver driver(opts);
+    const JobResult result = driver.runBatch(jobs)[0];
+    if (!result.ok())
+        fatal(result.error);
+    printExperiment(result.exp);
+    if (!spec.quiet) {
+        const JobSpec &job = jobs[0];
+        const std::string path = tracePathFor(
+            opts.recordDir, job.effectiveWorkload(), job.seedOffset,
+            job.params.schedPolicy, job.params.schedSeed);
+        const TraceReader reader(path);
+        std::uint64_t ops = 0;
+        for (int s = 0; s < reader.nstreams(); ++s)
+            ops += reader.opCount(s);
+        const auto bytes = std::filesystem::file_size(path);
         std::printf("wrote %s: %" PRIu64 " ops in %ju bytes "
                     "(%.2f bytes/op)\n",
-                    outPath.c_str(), ops,
+                    path.c_str(), ops,
                     static_cast<std::uintmax_t>(bytes),
                     static_cast<double>(bytes) /
                         static_cast<double>(ops));
@@ -425,34 +411,6 @@ traceInfo(int argc, char **argv, int first)
     return 0;
 }
 
-// ---- run --------------------------------------------------------------------
-
-void
-runUsage()
-{
-    std::printf(
-        "usage: sst run --spec FILE [options]\n"
-        "execute a declarative experiment spec (see examples/specs/)\n"
-        "  --spec FILE             the spec file (required)\n"
-        "  --set KEY=VALUE         override one spec key (repeatable;\n"
-        "                          same keys as the file format)\n"
-        "  --sched POLICY          shorthand for --set sched=POLICY\n"
-        "  --sched-seed K          shorthand for --set sched-seed=K\n"
-        "  --print-spec            print the canonical form and exit\n"
-        "  --jobs N                worker threads (default: hardware)\n"
-        "  --cache-dir DIR         result cache (default: .sst-cache)\n"
-        "  --no-cache              disable the result cache\n"
-        "  --refresh               re-run and overwrite cached results\n"
-        "  --csv FILE              write CSV (overrides output.csv)\n"
-        "  --json FILE             write JSON (overrides output.json)\n"
-        "  --trace-out FILE        write a Chrome trace_event JSON of\n"
-        "                          the batch (load in Perfetto /\n"
-        "                          chrome://tracing)\n"
-        "  --quiet                 suppress the result table\n"
-        "spec keys: %s\n",
-        specKeyNamesJoined().c_str());
-}
-
 // ---- list -------------------------------------------------------------------
 
 int
@@ -474,19 +432,6 @@ listScheds()
 {
     for (const std::string &name : schedulerRegistry().names())
         std::printf("%s\n", name.c_str());
-    return 0;
-}
-
-int
-listFrontends()
-{
-    TextTable table;
-    table.setHeader({"frontend", "description"});
-    for (const std::string &name : opSourceRegistry().names()) {
-        const OpSourceFrontend &f = *opSourceRegistry().find(name);
-        table.addRow({name, f.description});
-    }
-    std::printf("%s\n", table.render().c_str());
     return 0;
 }
 
@@ -549,9 +494,9 @@ listWorkloads()
         }
         std::printf("%s\n", table.render().c_str());
     }
-    // The frontends table completes the picture: which engine runs the
-    // files (`workload-file =`) next to the other workload sources.
-    return listFrontends();
+    std::printf("run one with `sst sweep --workload-file FILE` or the "
+                "spec key `workload-file = FILE`\n");
+    return 0;
 }
 
 /** The list subcommands, table-driven like the registries themselves:
@@ -566,10 +511,8 @@ struct ListCommand
 constexpr ListCommand kListCommands[] = {
     {"profiles", "the Figure 6 benchmark suite", listProfiles},
     {"scheds", "OS scheduler policies (--sched)", listScheds},
-    {"frontends", "workload frontends (frontend =)", listFrontends},
     {"mixes", "named heterogeneous workloads (workload =)", listMixes},
-    {"workloads", "example .wdl files + frontends (workload-file =)",
-     listWorkloads},
+    {"workloads", "example .wdl files (workload-file =)", listWorkloads},
 };
 
 std::string
@@ -600,102 +543,6 @@ listUsage()
 } // namespace
 
 int
-sweepMain(int argc, char **argv, int first)
-{
-    SweepGrid grid;
-    grid.profiles = allProfileLabels();
-    bool profiles_given = false;
-    bool threads_given = false;
-
-    DriverOptions opts;
-    opts.jobs = 0; // hardware concurrency
-    opts.cacheDir = ".sst-cache";
-    std::string csvPath, jsonPath, traceOutPath;
-    bool quiet = false;
-
-    try {
-        for (int i = first; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--profiles") {
-                const std::string v = argValue(argc, argv, i);
-                profiles_given = true;
-                if (v != "all")
-                    grid.profiles = parseLabelList(v);
-            } else if (arg == "--mix") {
-                grid.workloads = parseLabelList(argValue(argc, argv, i));
-            } else if (arg == "--workload-file") {
-                grid.workloadFiles.push_back(argValue(argc, argv, i));
-            } else if (arg == "--threads") {
-                grid.threads = parseIntList(argValue(argc, argv, i));
-                threads_given = true;
-            } else if (arg == "--cores") {
-                grid.cores = parseIntList(argValue(argc, argv, i));
-            } else if (arg == "--llc") {
-                grid.llcBytes = parseSizeList(argValue(argc, argv, i));
-            } else if (arg == "--jobs") {
-                opts.jobs = parseInt("--jobs", argValue(argc, argv, i),
-                                     0, 1 << 20);
-            } else if (arg == "--seed-offset") {
-                grid.seedOffset =
-                    parseU64("--seed-offset", argValue(argc, argv, i));
-            } else if (arg == "--cache-dir") {
-                opts.cacheDir = argValue(argc, argv, i);
-            } else if (arg == "--no-cache") {
-                opts.cacheDir.clear();
-            } else if (arg == "--refresh") {
-                opts.refresh = true;
-            } else if (arg == "--trace-dir") {
-                opts.traceDir = argValue(argc, argv, i);
-            } else if (arg == "--record-dir") {
-                opts.recordDir = argValue(argc, argv, i);
-            } else if (arg == "--sched") {
-                grid.baseParams.schedPolicy =
-                    parseSchedPolicy(argValue(argc, argv, i));
-            } else if (arg == "--sched-seed") {
-                grid.baseParams.schedSeed =
-                    parseU64("--sched-seed", argValue(argc, argv, i));
-            } else if (arg == "--csv") {
-                csvPath = argValue(argc, argv, i);
-            } else if (arg == "--json") {
-                jsonPath = argValue(argc, argv, i);
-            } else if (arg == "--trace-out") {
-                traceOutPath = argValue(argc, argv, i);
-            } else if (arg == "--quiet") {
-                quiet = true;
-            } else if (arg == "--help" || arg == "-h") {
-                sweepUsage();
-                return 0;
-            } else {
-                sweepUsage();
-                fatal("unknown argument '" + arg + "'");
-            }
-        }
-
-        if (grid.baseParams.schedSeed != 0 &&
-            grid.baseParams.schedPolicy != SchedPolicy::kRandom) {
-            fatal("--sched-seed only affects --sched random; the "
-                  "seed would be silently ignored");
-        }
-        // --mix replaces the profile and thread axes; an explicit
-        // --profiles next to it is a contradiction expandGrid rejects,
-        // and an explicit --threads would be silently ignored — fatal.
-        if ((!grid.workloads.empty() || !grid.workloadFiles.empty()) &&
-            threads_given) {
-            fatal("--threads does not apply to --mix/--workload-file "
-                  "(each workload carries its own thread counts)");
-        }
-        if ((!grid.workloads.empty() || !grid.workloadFiles.empty()) &&
-            !profiles_given)
-            grid.profiles.clear();
-
-        return executeBatch(grid, opts, quiet, csvPath, jsonPath,
-                            traceOutPath);
-    } catch (const std::exception &e) {
-        fatal(e.what());
-    }
-}
-
-int
 traceMain(int argc, char **argv, int first)
 {
     if (first >= argc) {
@@ -722,15 +569,16 @@ traceMain(int argc, char **argv, int first)
 }
 
 int
-runMain(int argc, char **argv, int first)
+batchMain(int argc, char **argv, int first)
 {
+    const char *cmd = argv[first - 1];
     std::string specPath;
-    // (key, value) overrides in command-line order; applied through the
-    // same applySpecValue path the file parser uses.
-    std::vector<std::pair<std::string, std::string>> overrides;
+    // (key, value) assignments in command-line order, applied after the
+    // spec file through the same applySpecValue path the file uses.
+    std::vector<std::pair<std::string, std::string>> sets;
+    std::size_t workloadFileSet = 0; // 1 + index of the --workload-file set
     bool printSpec = false;
-    bool quiet = false;
-    std::string csvPath, jsonPath, traceOutPath;
+    std::string traceOutPath;
 
     DriverOptions opts;
     opts.jobs = 0; // hardware concurrency
@@ -739,20 +587,28 @@ runMain(int argc, char **argv, int first)
     try {
         for (int i = first; i < argc; ++i) {
             const std::string arg = argv[i];
-            if (arg == "--spec") {
+            const SpecFlag *flag = nullptr;
+            for (const SpecFlag &f : kSpecFlags)
+                if (arg == f.flag)
+                    flag = &f;
+            if (flag && arg == "--workload-file" && workloadFileSet) {
+                // Repeats extend the first occurrence's path list.
+                sets[workloadFileSet - 1].second +=
+                    std::string(", ") + argValue(argc, argv, i);
+            } else if (flag) {
+                sets.emplace_back(flag->key, argValue(argc, argv, i));
+                if (arg == "--workload-file")
+                    workloadFileSet = sets.size();
+            } else if (arg == "--spec") {
                 specPath = argValue(argc, argv, i);
             } else if (arg == "--set") {
                 const std::string kv = argValue(argc, argv, i);
                 const std::size_t eq = kv.find('=');
                 if (eq == std::string::npos)
                     fatal("--set needs KEY=VALUE, got '" + kv + "'");
-                overrides.emplace_back(kv.substr(0, eq),
-                                       kv.substr(eq + 1));
-            } else if (arg == "--sched") {
-                overrides.emplace_back("sched", argValue(argc, argv, i));
-            } else if (arg == "--sched-seed") {
-                overrides.emplace_back("sched-seed",
-                                       argValue(argc, argv, i));
+                sets.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
+            } else if (arg == "--quiet") {
+                sets.emplace_back("output.quiet", "true");
             } else if (arg == "--print-spec") {
                 printSpec = true;
             } else if (arg == "--jobs") {
@@ -764,43 +620,31 @@ runMain(int argc, char **argv, int first)
                 opts.cacheDir.clear();
             } else if (arg == "--refresh") {
                 opts.refresh = true;
-            } else if (arg == "--csv") {
-                csvPath = argValue(argc, argv, i);
-            } else if (arg == "--json") {
-                jsonPath = argValue(argc, argv, i);
+            } else if (arg == "--record-dir") {
+                opts.recordDir = argValue(argc, argv, i);
             } else if (arg == "--trace-out") {
                 traceOutPath = argValue(argc, argv, i);
-            } else if (arg == "--quiet") {
-                quiet = true;
             } else if (arg == "--help" || arg == "-h") {
-                runUsage();
+                batchUsage(cmd);
                 return 0;
             } else {
-                runUsage();
+                batchUsage(cmd);
                 fatal("unknown argument '" + arg + "'");
             }
         }
-        if (specPath.empty()) {
-            runUsage();
-            fatal("run needs --spec FILE");
-        }
 
-        ExperimentSpec spec = parseSpecFile(specPath);
-        for (const auto &kv : overrides)
+        ExperimentSpec spec =
+            specPath.empty() ? ExperimentSpec{} : parseSpecFile(specPath);
+        for (const auto &kv : sets)
             applySpecValue(spec, kv.first, kv.second);
 
         if (printSpec) {
             std::fputs(serializeSpec(spec).c_str(), stdout);
             return 0;
         }
-
-        const SweepGrid grid = specGrid(spec); // validates
-        applySpecToDriverOptions(spec, opts);
-
-        return executeBatch(grid, opts, quiet || spec.quiet,
-                            csvPath.empty() ? spec.csvPath : csvPath,
-                            jsonPath.empty() ? spec.jsonPath : jsonPath,
-                            traceOutPath);
+        validateSpec(spec);
+        opts.traceDir = spec.traceDir;
+        return executeBatch(spec, opts, traceOutPath);
     } catch (const std::exception &e) {
         fatal(e.what());
     }

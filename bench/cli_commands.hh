@@ -13,16 +13,16 @@
 namespace sst {
 namespace cli {
 
-/** `sst sweep`: flag-driven experiment grids. */
-int sweepMain(int argc, char **argv, int first);
+/**
+ * `sst run` / `sst sweep`: one parser for both — an optional `--spec`
+ * file, then every grid flag applied through applySpecValue().
+ */
+int batchMain(int argc, char **argv, int first);
 
 /** `sst trace`: record / replay / info on op traces. */
 int traceMain(int argc, char **argv, int first);
 
-/** `sst run --spec FILE`: execute a declarative experiment spec. */
-int runMain(int argc, char **argv, int first);
-
-/** `sst list profiles|scheds|frontends`: enumerate the registries. */
+/** `sst list profiles|scheds|mixes|workloads`: enumerate the registries. */
 int listMain(int argc, char **argv, int first);
 
 /** `sst --version`: print every persisted-format version. */

@@ -34,18 +34,6 @@ argValue(int argc, char **argv, int &i)
     return argv[++i];
 }
 
-/** Strict base-10 u64; fatal on garbage instead of silently reading 0
- * or wrapping a negative through strtoull. */
-inline std::uint64_t
-parseU64(const char *flag, const char *text)
-{
-    try {
-        return parseU64Text(flag, text);
-    } catch (const std::invalid_argument &e) {
-        fatal(e.what());
-    }
-}
-
 /** Strict base-10 int in [min, max]; fatal on garbage or out of range. */
 inline int
 parseInt(const char *flag, const char *text, long min, long max)
@@ -100,14 +88,9 @@ parseBenchArgs(int argc, char **argv, const char *usage,
                           "effect here");
                 o.jobs = parseInt("--jobs", argValue(argc, argv, i), 0,
                                   1 << 20);
-            } else if (arg == "--sched") {
-                applySpecValue(spec, "sched", argValue(argc, argv, i));
-            } else if (arg == "--sched-seed") {
-                applySpecValue(spec, "sched-seed",
-                               argValue(argc, argv, i));
-            } else if (arg == "--seed-offset") {
-                applySpecValue(spec, "seed-offset",
-                               argValue(argc, argv, i));
+            } else if (arg == "--sched" || arg == "--sched-seed" ||
+                       arg == "--seed-offset") {
+                applySpecValue(spec, arg.substr(2), argValue(argc, argv, i));
             } else if (arg.size() > 2 &&
                        arg.compare(0, 2, "--") == 0 &&
                        arg.find('=') != std::string::npos) {
@@ -156,13 +139,13 @@ parseBenchArgs(int argc, char **argv, const char *usage,
             fatal(e.what());
         }
     }
-    if (spec.machine.schedSeed != 0 &&
-        spec.machine.schedPolicy != SchedPolicy::kRandom) {
-        fatal("--sched-seed only affects --sched random; the seed "
-              "would be silently ignored");
+    try {
+        validateSpec(spec); // e.g. --sched-seed without --sched random
+    } catch (const std::invalid_argument &e) {
+        fatal(e.what());
     }
-    o.params = spec.machine;
-    o.seedOffset = spec.seedOffset;
+    o.params = spec.grid.baseParams;
+    o.seedOffset = spec.grid.seedOffset;
     return o;
 }
 

@@ -3,9 +3,9 @@
  * The unified `sst` CLI: one binary for every experiment workflow.
  *
  *   sst run --spec examples/specs/fig01.spec   declarative experiments
- *   sst sweep --profiles all --threads 16      flag-driven grids
+ *   sst sweep --profiles all --threads 16      the same, by flags
  *   sst trace record|replay|info               op-trace workflows
- *   sst list profiles|scheds|frontends         enumerate the registries
+ *   sst list profiles|scheds|mixes|workloads   enumerate the registries
  *
  * The commands live in bench/cli_commands.cc. The dispatcher is
  * table-driven: usage text and the unknown-command error enumerate the
@@ -27,13 +27,13 @@ struct Command
 };
 
 constexpr Command kCommands[] = {
-    {"run", "execute a declarative experiment spec file",
-     sst::cli::runMain},
-    {"sweep", "express an experiment grid with flags",
-     sst::cli::sweepMain},
+    {"run", "execute an experiment spec file (flags may override it)",
+     sst::cli::batchMain},
+    {"sweep", "express an experiment grid with flags (= run)",
+     sst::cli::batchMain},
     {"trace", "record / replay / inspect binary op traces",
      sst::cli::traceMain},
-    {"list", "enumerate registered profiles, scheds, frontends, mixes",
+    {"list", "enumerate registered profiles, scheds, mixes, workloads",
      sst::cli::listMain},
 };
 

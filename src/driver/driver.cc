@@ -227,15 +227,11 @@ runOneJob(const JobSpec &spec, BatchContext &ctx)
                         spec.params,
                         workloadGroupBaselineSources(workload, group), 1);
                 };
-                if (opts.shareBaselines) {
-                    group_bases.push_back(ctx.baselines.get(
-                        fingerprintWorkloadGroupBaseline(spec.params,
-                                                         workload, group)
-                            .canonical,
-                        compute));
-                } else {
-                    group_bases.push_back(compute());
-                }
+                group_bases.push_back(ctx.baselines.get(
+                    fingerprintWorkloadGroupBaseline(spec.params, workload,
+                                                     group)
+                        .canonical,
+                    compute));
             }
         }
 

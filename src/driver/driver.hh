@@ -50,7 +50,8 @@ struct DriverOptions
 
     /**
      * Capture `.sstt` op traces of live jobs into this directory as
-     * the batch runs (the `sst sweep --record-dir` mode). Each freshly
+     * the batch runs (`sst sweep --record-dir`, and `sst trace record`
+     * as a one-job batch). Each freshly
      * executed, non-oversubscribed job writes its canonical trace file
      * (tracePathFor) via the RecordingSource shim around its parallel
      * run; baseline streams are filled by pure generation, so shared
@@ -58,12 +59,6 @@ struct DriverOptions
      * capture. Mutually exclusive with traceDir.
      */
     std::string recordDir;
-
-    /**
-     * Share 1-thread baseline runs across jobs with an equal baseline
-     * fingerprint (the experiment math reuses Ts across thread counts).
-     */
-    bool shareBaselines = true;
 };
 
 /** Aggregate counters of one runBatch() call. */
@@ -96,8 +91,6 @@ class ExperimentDriver
 
     /** Counters of the most recent runBatch() call. */
     const BatchStats &stats() const { return stats_; }
-
-    const DriverOptions &options() const { return opts_; }
 
     /** Resolved worker count (after hardware_concurrency defaulting). */
     int workerCount() const;

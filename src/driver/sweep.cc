@@ -102,6 +102,40 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/** One JSON object (no trailing newline/comma) for @p s / @p r. */
+std::string
+sweepJsonRow(const JobSpec &s, const JobResult &r)
+{
+    std::ostringstream os;
+    os << "{\"benchmark\": \"" << jsonEscape(s.label())
+       << "\", \"suite\": \"" << jsonEscape(jobSuite(s))
+       << "\", \"nthreads\": " << s.nthreads()
+       << ", \"ncores\": " << s.ncoresEffective()
+       << ", \"llc_bytes\": " << s.params.cache.llcBytes
+       << ", \"seed_offset\": " << s.seedOffset << ", \"status\": \""
+       << statusName(r.status) << '"';
+    if (r.ok()) {
+        const SpeedupExperiment &e = r.exp;
+        os << ", \"ts\": " << e.ts << ", \"tp\": " << e.tp
+           << ", \"actual_speedup\": " << f64(e.actualSpeedup)
+           << ", \"estimated_speedup\": " << f64(e.estimatedSpeedup)
+           << ", \"error\": " << f64(e.error)
+           << ", \"stack\": {\"base\": " << f64(e.stack.baseSpeedup)
+           << ", \"pos_llc\": " << f64(e.stack.posLlc)
+           << ", \"neg_llc\": " << f64(e.stack.negLlc)
+           << ", \"neg_mem\": " << f64(e.stack.negMem)
+           << ", \"spin\": " << f64(e.stack.spin)
+           << ", \"yield\": " << f64(e.stack.yield)
+           << ", \"imbalance\": " << f64(e.stack.imbalance)
+           << ", \"coherency\": " << f64(e.stack.coherency) << '}'
+           << ", \"par_overhead\": " << f64(e.parOverheadMeasured);
+    } else {
+        os << ", \"error_message\": \"" << jsonEscape(r.error) << '"';
+    }
+    os << '}';
+    return os.str();
+}
+
 } // namespace
 
 std::vector<int>
@@ -172,55 +206,65 @@ parseSizeList(const std::string &text)
     return out;
 }
 
+void
+validateGrid(const SweepGrid &grid)
+{
+    const int axes = !grid.profiles.empty() + !grid.workloads.empty() +
+                     !grid.workloadFiles.empty();
+    if (axes > 1) {
+        throw std::invalid_argument(
+            "profiles, workload and workload-file are exclusive axes (a "
+            "workload names its own profiles, a .wdl file declares its "
+            "own groups)");
+    }
+    const bool workload_axis =
+        !grid.workloads.empty() || !grid.workloadFiles.empty();
+    if (workload_axis && !grid.threads.empty() &&
+        grid.threads != std::vector<int>{16}) {
+        // The default {16} is indistinguishable from an explicit
+        // `threads = 16`, which is harmless either way.
+        throw std::invalid_argument(
+            "the threads axis does not apply to workloads (each "
+            "workload carries its own thread counts); drop `threads =`");
+    }
+    if (!workload_axis && grid.threads.empty())
+        throw std::invalid_argument("the grid selects no thread counts");
+    if (grid.baseParams.schedSeed != 0 &&
+        grid.baseParams.schedPolicy != SchedPolicy::kRandom) {
+        throw std::invalid_argument(
+            "sched-seed only affects `sched = random`; the seed would "
+            "be silently ignored");
+    }
+    // Same semantics as profileByLabel(): label or bare name.
+    for (const std::string &label : grid.profiles)
+        profileRegistry().at(label); // throws, listing valid names
+}
+
 std::vector<JobSpec>
 expandGrid(const SweepGrid &grid)
 {
-    // Resolve either axis into one list of workloads; the job
+    validateGrid(grid);
+    // Resolve the selected axis into one list of workloads; the job
     // construction over cores x LLC is shared below.
     std::vector<WorkloadSpec> workloads;
     if (!grid.workloadFiles.empty()) {
-        if (!grid.profiles.empty() || !grid.workloads.empty()) {
-            throw std::invalid_argument(
-                "sweep grid has workload files and profiles/workloads; "
-                "the axes are exclusive (a .wdl file declares its own "
-                "groups)");
-        }
         workloads.reserve(grid.workloadFiles.size());
         for (const std::string &path : grid.workloadFiles)
             workloads.push_back(wdl::loadWorkloadFile(path)); // throws
     } else if (!grid.workloads.empty()) {
-        if (!grid.profiles.empty()) {
-            throw std::invalid_argument(
-                "sweep grid has both workloads and profiles; the axes "
-                "are exclusive (a workload names its own profiles)");
-        }
         workloads.reserve(grid.workloads.size());
         for (const std::string &text : grid.workloads)
             workloads.push_back(parseWorkload(text)); // throws, lists names
     } else {
-        if (grid.profiles.empty())
-            throw std::invalid_argument("sweep grid has no profiles");
-        if (grid.threads.empty())
-            throw std::invalid_argument("sweep grid has no thread counts");
-
-        // Resolve labels up front so a typo fails the whole expansion
-        // loudly instead of producing a batch of failed jobs. Same
-        // semantics as profileByLabel(): label or bare name.
-        std::vector<const BenchmarkProfile *> profiles;
-        for (const std::string &label : grid.profiles) {
-            const BenchmarkProfile *found = findProfileByLabel(label);
-            if (!found) {
-                throw std::invalid_argument(
-                    "unknown benchmark profile '" + label +
-                    "'; valid labels: " + allProfileLabelsJoined());
-            }
-            profiles.push_back(found);
-        }
-        workloads.reserve(profiles.size() * grid.threads.size());
-        for (const BenchmarkProfile *profile : profiles)
+        const std::vector<std::string> labels =
+            grid.profiles.empty() ? allProfileLabels() : grid.profiles;
+        workloads.reserve(labels.size() * grid.threads.size());
+        for (const std::string &label : labels) {
+            const BenchmarkProfile &profile = *profileRegistry().at(label);
             for (const int nthreads : grid.threads)
                 workloads.push_back(
-                    WorkloadSpec::homogeneous(*profile, nthreads));
+                    WorkloadSpec::homogeneous(profile, nthreads));
+        }
     }
 
     const std::size_t nllc =
@@ -292,39 +336,6 @@ sweepCsv(const std::vector<JobSpec> &specs,
     os << sweepCsvHeader() << '\n';
     for (std::size_t i = 0; i < specs.size(); ++i)
         os << sweepCsvRow(specs[i], results[i]) << '\n';
-    return os.str();
-}
-
-std::string
-sweepJsonRow(const JobSpec &s, const JobResult &r)
-{
-    std::ostringstream os;
-    os << "{\"benchmark\": \"" << jsonEscape(s.label())
-       << "\", \"suite\": \"" << jsonEscape(jobSuite(s))
-       << "\", \"nthreads\": " << s.nthreads()
-       << ", \"ncores\": " << s.ncoresEffective()
-       << ", \"llc_bytes\": " << s.params.cache.llcBytes
-       << ", \"seed_offset\": " << s.seedOffset << ", \"status\": \""
-       << statusName(r.status) << '"';
-    if (r.ok()) {
-        const SpeedupExperiment &e = r.exp;
-        os << ", \"ts\": " << e.ts << ", \"tp\": " << e.tp
-           << ", \"actual_speedup\": " << f64(e.actualSpeedup)
-           << ", \"estimated_speedup\": " << f64(e.estimatedSpeedup)
-           << ", \"error\": " << f64(e.error)
-           << ", \"stack\": {\"base\": " << f64(e.stack.baseSpeedup)
-           << ", \"pos_llc\": " << f64(e.stack.posLlc)
-           << ", \"neg_llc\": " << f64(e.stack.negLlc)
-           << ", \"neg_mem\": " << f64(e.stack.negMem)
-           << ", \"spin\": " << f64(e.stack.spin)
-           << ", \"yield\": " << f64(e.stack.yield)
-           << ", \"imbalance\": " << f64(e.stack.imbalance)
-           << ", \"coherency\": " << f64(e.stack.coherency) << '}'
-           << ", \"par_overhead\": " << f64(e.parOverheadMeasured);
-    } else {
-        os << ", \"error_message\": \"" << jsonEscape(r.error) << '"';
-    }
-    os << '}';
     return os.str();
 }
 

@@ -3,9 +3,9 @@
  * Declarative sweep grids for the experiment driver: a cross-product of
  * benchmark profiles x thread counts x LLC sizes (plus shared SimParams
  * overrides) expands into a flat job batch, and completed batches export
- * to CSV or JSON for plotting pipelines. `sst sweep` is a thin shell
- * over this module, and the list/size parsers here are what it uses for
- * `--threads 2,4,8,16` and `--llc 1M,2M,4M,8M` style arguments.
+ * to CSV or JSON for plotting pipelines. An ExperimentSpec (src/spec/)
+ * holds one grid, and the list/size parsers here read its
+ * `threads = 2,4,8,16` and `llc = 1M,2M,4M,8M` style values.
  */
 
 #ifndef SST_DRIVER_SWEEP_HH
@@ -23,7 +23,10 @@ namespace sst {
 /** A cross-product of experiment coordinates. */
 struct SweepGrid
 {
-    /** Benchmark labels ("cholesky", "facesim_medium", ...). */
+    /**
+     * Benchmark labels ("cholesky", "facesim_medium", ...). Empty with
+     * no workloads or workload files selects the whole Figure 6 suite.
+     */
     std::vector<std::string> profiles;
 
     /**
@@ -44,6 +47,7 @@ struct SweepGrid
      */
     std::vector<std::string> workloadFiles;
 
+    /** Thread counts; applies to `profiles` only. */
     std::vector<int> threads = {16};
 
     /**
@@ -64,10 +68,22 @@ struct SweepGrid
 };
 
 /**
- * Expand @p grid into jobs, profile-major (all of one benchmark's
- * points are adjacent, matching the serial benches' row order). Profile
- * labels resolve through the benchmark registry; an unknown label
- * throws std::invalid_argument.
+ * Reject a grid whose axes contradict each other — the one place these
+ * rules live: profiles, workloads and workload files are exclusive
+ * axes; the threads axis applies to profiles only (a workload carries
+ * its own thread counts, so anything but the default `16` would be
+ * silently ignored); profiles need at least one thread count; a
+ * scheduler seed needs the random policy; every profile label must
+ * resolve. Throws std::invalid_argument.
+ */
+void validateGrid(const SweepGrid &grid);
+
+/**
+ * Validate @p grid (validateGrid) and expand it into jobs,
+ * profile-major (all of one benchmark's points are adjacent, matching
+ * the serial benches' row order). Workload descriptors resolve through
+ * the registries and workload files are compiled here; either throws
+ * std::invalid_argument naming the valid labels or the file:line.
  */
 std::vector<JobSpec> expandGrid(const SweepGrid &grid);
 
@@ -91,15 +107,10 @@ std::vector<std::uint64_t> parseSizeList(const std::string &text);
 std::string sweepCsvHeader();
 
 /**
- * One CSV row (no trailing newline) for @p spec / @p result — the unit
- * the experiment service streams incrementally. sweepCsv() is exactly
- * the header plus these rows, so a streamed campaign is bit-identical
- * to the batch export.
+ * One CSV row (no trailing newline) for @p spec / @p result. sweepCsv()
+ * is exactly the header plus these rows.
  */
 std::string sweepCsvRow(const JobSpec &spec, const JobResult &result);
-
-/** One JSON object (no trailing newline/comma) for @p spec/@p result. */
-std::string sweepJsonRow(const JobSpec &spec, const JobResult &result);
 
 /**
  * Export a completed batch (specs paired with their results, same

@@ -102,39 +102,6 @@ schedulerRegistry()
     return registry;
 }
 
-const NamedRegistry<OpSourceFrontend> &
-opSourceRegistry()
-{
-    static const NamedRegistry<OpSourceFrontend> registry = [] {
-        NamedRegistry<OpSourceFrontend> r("workload frontend",
-                                          "workload frontends");
-        r.add("program",
-              OpSourceFrontend{
-                  "synthetic generator: op streams built live from the "
-                  "benchmark profile (ThreadProgram)",
-                  false});
-        r.add("trace",
-              OpSourceFrontend{
-                  "replay recorded .sstt op traces from trace-dir (see "
-                  "`sst trace record`)",
-                  true});
-        r.add("pipeline",
-              OpSourceFrontend{
-                  "synthetic pipeline generator: heterogeneous stage "
-                  "profiles co-scheduled with shared phase barriers "
-                  "(select stages via `workload = <pipeline>`)",
-                  false});
-        r.add("workload-file",
-              OpSourceFrontend{
-                  "compile .wdl workload description files into op "
-                  "streams (select files via `workload-file = "
-                  "PATH[, PATH]`)",
-                  false});
-        return r;
-    }();
-    return registry;
-}
-
 const NamedRegistry<WorkloadSpec> &
 mixRegistry()
 {

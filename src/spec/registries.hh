@@ -1,17 +1,11 @@
 /**
  * @file
- * The three named-factory registries every experiment description
- * resolves through:
+ * The named registries every experiment description resolves through:
  *
  *  - profileRegistry():   benchmark label -> BenchmarkProfile (the
  *                         Figure 6 suite; bare names alias their first
  *                         input variant, matching profileByLabel()).
  *  - schedulerRegistry(): `--sched` label -> SchedPolicy (src/sched/).
- *  - opSourceRegistry():  workload-frontend name -> frontend descriptor
- *                         ("program" generates op streams live from
- *                         ThreadProgram; "trace" replays recorded
- *                         .sstt containers; "pipeline" generates
- *                         barrier-coupled heterogeneous stages).
  *  - mixRegistry():       named heterogeneous workload -> WorkloadSpec
  *                         (the Figure 8 two-program mixes and the
  *                         ferret-style pipelines).
@@ -33,27 +27,11 @@
 
 namespace sst {
 
-/**
- * A workload frontend: how a job's op streams are produced. The
- * descriptor drives spec validation (a frontend that replays recordings
- * needs a trace directory) and `sst list frontends` output; the driver
- * maps the selected frontend onto its execution mode.
- */
-struct OpSourceFrontend
-{
-    const char *description; ///< one-line summary for listings
-    /** Frontend consumes recorded traces: `trace-dir` must be set. */
-    bool needsTraceDir = false;
-};
-
 /** Benchmark-profile registry (suite order; bare-name aliases). */
 const NamedRegistry<const BenchmarkProfile *> &profileRegistry();
 
 /** Scheduler-policy registry (enum order, values = SchedPolicy). */
 const NamedRegistry<SchedPolicy> &schedulerRegistry();
-
-/** Workload-frontend registry ("program", "trace", "pipeline"). */
-const NamedRegistry<OpSourceFrontend> &opSourceRegistry();
 
 /**
  * Named heterogeneous workloads: the Figure 8 two-program mixes

@@ -2,7 +2,7 @@
  * @file
  * NamedRegistry: the one lookup-by-name mechanism behind every pluggable
  * axis of an experiment (benchmark profiles, scheduler policies, workload
- * frontends). A registry is an ordered name -> value table plus optional
+ * mixes). A registry is an ordered name -> value table plus optional
  * aliases; enumeration order is registration order, so `--list` output,
  * error messages and canonical spec serialization all agree without any
  * hand-maintained label list.
@@ -99,8 +99,6 @@ class NamedRegistry
         }
         return out;
     }
-
-    const std::string &subject() const { return subject_; }
 
     std::size_t size() const { return entries_.size(); }
 

@@ -15,9 +15,9 @@ constexpr const char *kMachinePrefix = "machine.";
 
 /** Top-level spec keys, in canonical serialization order. */
 constexpr const char *kTopKeys[] = {
-    "profiles", "workload",  "workload-file", "pipeline", "threads",
-    "cores",    "llc",       "seed-offset",   "frontend", "trace-dir",
-    "sched",    "sched-seed", "output.csv",   "output.json",
+    "profiles",    "workload",  "workload-file", "threads",
+    "cores",       "llc",       "seed-offset",   "trace-dir",
+    "sched",       "sched-seed", "output.csv",   "output.json",
     "output.quiet",
 };
 
@@ -32,26 +32,16 @@ trim(const std::string &s)
     return s.substr(b, e - b);
 }
 
+/** @p v's elements rendered by @p text, joined with ", ". */
+template <typename T, typename Fn>
 std::string
-joinInts(const std::vector<int> &v)
+joinList(const std::vector<T> &v, Fn text)
 {
     std::string out;
-    for (const int x : v) {
+    for (const T &x : v) {
         if (!out.empty())
             out += ", ";
-        out += std::to_string(x);
-    }
-    return out;
-}
-
-std::string
-joinSizes(const std::vector<std::uint64_t> &v)
-{
-    std::string out;
-    for (const std::uint64_t x : v) {
-        if (!out.empty())
-            out += ", ";
-        out += sizeText(x);
+        out += text(x);
     }
     return out;
 }
@@ -82,103 +72,45 @@ splitPaths(const std::string &text)
     return out;
 }
 
-std::string
-joinLabels(const std::vector<std::string> &v)
-{
-    std::string out;
-    for (const std::string &x : v) {
-        if (!out.empty())
-            out += ", ";
-        out += x;
-    }
-    return out;
-}
-
 } // namespace
 
 void
 applySpecValue(ExperimentSpec &spec, const std::string &key,
                const std::string &value)
 {
+    SweepGrid &grid = spec.grid;
     if (key == "profiles") {
         if (value == "all" || value.empty())
-            spec.profiles.clear();
+            grid.profiles.clear();
         else
-            spec.profiles = parseLabelList(value);
+            grid.profiles = parseLabelList(value);
     } else if (key == "workload") {
-        if (!spec.workloadFiles.empty() && !value.empty()) {
-            throw std::invalid_argument(
-                "`workload =` cannot be combined with "
-                "`workload-file =`; a .wdl file declares its own "
-                "groups");
-        }
-        spec.workloads.clear();
+        grid.workloads.clear();
         if (!value.empty()) {
             for (const std::string &item : parseLabelList(value))
-                spec.workloads.push_back(canonicalWorkloadText(item));
+                grid.workloads.push_back(canonicalWorkloadText(item));
         }
     } else if (key == "workload-file" || key == "workload_file") {
-        // Sugar like `pipeline =`: selecting .wdl scenario files also
-        // selects the workload-file frontend, so one line runs a
-        // user-authored workload. Serialization emits the expanded
-        // workload-file/frontend keys (canonical form is a fixed
-        // point). Combining with the other workload axes would
-        // silently drop one of them — reject instead.
-        if (!spec.workloads.empty() && !value.empty()) {
-            throw std::invalid_argument(
-                "`workload-file =` cannot be combined with "
-                "`workload =`; a .wdl file declares its own groups");
-        }
-        spec.workloadFiles.clear();
-        if (!value.empty()) {
-            spec.workloadFiles = splitPaths(value);
-            spec.frontend = "workload-file";
-        }
-    } else if (key == "pipeline") {
-        // Sugar: select a registered pipeline and its frontend in one
-        // line. Serialization emits the expanded workload/frontend
-        // keys, so the canonical form stays a fixed point. Because the
-        // key assigns two fields, combining it with `workload =` would
-        // silently drop one of them — reject instead.
-        if (!spec.workloads.empty()) {
-            throw std::invalid_argument(
-                "`pipeline =` cannot be combined with `workload =`; "
-                "list pipelines in `workload =` with `frontend = "
-                "pipeline` instead");
-        }
-        if (!spec.workloadFiles.empty()) {
-            throw std::invalid_argument(
-                "`pipeline =` cannot be combined with "
-                "`workload-file =`");
-        }
-        const std::string canon = canonicalWorkloadText(value);
-        if (parseWorkload(canon).role != WorkloadRole::kPipeline) {
-            throw std::invalid_argument(
-                "'" + value + "' is not a pipeline workload (use "
-                "`workload =` for mixes)");
-        }
-        spec.workloads = {canon};
-        spec.frontend = "pipeline";
+        grid.workloadFiles.clear();
+        if (!value.empty())
+            grid.workloadFiles = splitPaths(value);
     } else if (key == "threads") {
-        spec.threads = value.empty() ? std::vector<int>{}
+        grid.threads = value.empty() ? std::vector<int>{}
                                      : parseIntList(value);
     } else if (key == "cores") {
-        spec.cores = value.empty() ? std::vector<int>{}
+        grid.cores = value.empty() ? std::vector<int>{}
                                    : parseIntList(value);
     } else if (key == "llc") {
-        spec.llcBytes = value.empty() ? std::vector<std::uint64_t>{}
+        grid.llcBytes = value.empty() ? std::vector<std::uint64_t>{}
                                       : parseSizeList(value);
     } else if (key == "seed-offset") {
-        spec.seedOffset = parseU64Text("seed-offset", value);
-    } else if (key == "frontend") {
-        opSourceRegistry().at(value); // throws listing valid frontends
-        spec.frontend = value;
+        grid.seedOffset = parseU64Text("seed-offset", value);
     } else if (key == "trace-dir") {
         spec.traceDir = value;
     } else if (key == "sched") {
-        spec.machine.schedPolicy = schedulerRegistry().at(value);
+        grid.baseParams.schedPolicy = schedulerRegistry().at(value);
     } else if (key == "sched-seed") {
-        spec.machine.schedSeed = parseU64Text("sched-seed", value);
+        grid.baseParams.schedSeed = parseU64Text("sched-seed", value);
     } else if (key == "output.csv") {
         spec.csvPath = value;
     } else if (key == "output.json") {
@@ -194,7 +126,7 @@ applySpecValue(ExperimentSpec &spec, const std::string &key,
             throw std::invalid_argument("unknown machine key '" + key +
                                         "'; valid machine keys: " +
                                         machineKeyNamesJoined());
-        setMachineValue(spec.machine, *mk, value);
+        setMachineValue(grid.baseParams, *mk, value);
     } else {
         throw std::invalid_argument("unknown spec key '" + key +
                                     "'; valid keys: " +
@@ -302,19 +234,21 @@ serializeSpec(const ExperimentSpec &spec)
         out += value;
         out += '\n';
     };
+    const SweepGrid &grid = spec.grid;
+    const auto str = [](const std::string &x) { return x; };
+    const auto num = [](int x) { return std::to_string(x); };
     put("profiles",
-        spec.profiles.empty() ? "all" : joinLabels(spec.profiles));
-    put("workload", joinLabels(spec.workloads));
-    put("workload-file", joinLabels(spec.workloadFiles));
-    put("threads", joinInts(spec.threads));
-    put("cores", joinInts(spec.cores));
-    put("llc", joinSizes(spec.llcBytes));
-    put("seed-offset", std::to_string(spec.seedOffset));
-    put("frontend", spec.frontend);
+        grid.profiles.empty() ? "all" : joinList(grid.profiles, str));
+    put("workload", joinList(grid.workloads, str));
+    put("workload-file", joinList(grid.workloadFiles, str));
+    put("threads", joinList(grid.threads, num));
+    put("cores", joinList(grid.cores, num));
+    put("llc", joinList(grid.llcBytes, sizeText));
+    put("seed-offset", std::to_string(grid.seedOffset));
     put("trace-dir", spec.traceDir);
-    put("sched", schedPolicyLabel(spec.machine.schedPolicy));
-    put("sched-seed", std::to_string(spec.machine.schedSeed));
-    encodeMachineParams(out, spec.machine);
+    put("sched", schedPolicyLabel(grid.baseParams.schedPolicy));
+    put("sched-seed", std::to_string(grid.baseParams.schedSeed));
+    encodeMachineParams(out, grid.baseParams);
     put("output.csv", spec.csvPath);
     put("output.json", spec.jsonPath);
     put("output.quiet", spec.quiet ? "true" : "false");
@@ -336,159 +270,12 @@ operator!=(const ExperimentSpec &a, const ExperimentSpec &b)
 void
 validateSpec(const ExperimentSpec &spec)
 {
-    const OpSourceFrontend &frontend = opSourceRegistry().at(spec.frontend);
-    if (frontend.needsTraceDir && spec.traceDir.empty())
-        throw std::invalid_argument("frontend '" + spec.frontend +
-                                    "' replays recordings: trace-dir "
-                                    "must be set");
-    if (!frontend.needsTraceDir && !spec.traceDir.empty())
+    validateGrid(spec.grid);
+    if (!spec.traceDir.empty() && !spec.grid.cores.empty())
         throw std::invalid_argument(
-            "trace-dir is set but frontend '" + spec.frontend +
-            "' does not replay traces (use `frontend = trace`)");
-    if (frontend.needsTraceDir && !spec.cores.empty())
-        throw std::invalid_argument(
-            "frontend '" + spec.frontend + "' cannot drive a cores "
-            "axis: recordings embed the schedule of a #cores == "
-            "#threads run, so oversubscribed jobs would silently "
-            "regenerate live instead of replaying");
-    if (!spec.workloads.empty() && !spec.profiles.empty()) {
-        throw std::invalid_argument(
-            "workload and profiles are exclusive axes (a workload "
-            "names its own profiles)");
-    }
-    if (!spec.workloadFiles.empty() &&
-        (!spec.profiles.empty() || !spec.workloads.empty())) {
-        throw std::invalid_argument(
-            "workload-file is exclusive with the profiles and workload "
-            "axes (a .wdl file declares its own groups)");
-    }
-    if (!spec.workloadFiles.empty() && spec.frontend != "workload-file")
-        throw std::invalid_argument(
-            "workload-file paths are set but frontend '" + spec.frontend +
-            "' does not compile them (use `frontend = workload-file`)");
-    if (spec.frontend == "workload-file" && spec.workloadFiles.empty())
-        throw std::invalid_argument(
-            "frontend 'workload-file' needs `workload-file = "
-            "<path.wdl>[, <path.wdl>...]`");
-    if ((!spec.workloads.empty() || !spec.workloadFiles.empty()) &&
-        !(spec.threads.size() == 1 && spec.threads[0] == 16)) {
-        // The default threads value {16} is indistinguishable from an
-        // explicit `threads = 16`, which is harmless either way; any
-        // other value would be silently ignored — reject it.
-        throw std::invalid_argument(
-            "the threads axis does not apply to workloads (each "
-            "workload carries its own thread counts); drop `threads =`");
-    }
-    // Resolve every workload now (registry mixes, inline labels) and
-    // tie pipeline workloads to the pipeline frontend, so a mismatch
-    // fails with the registry's message before any job runs. One parse
-    // per descriptor: both checks read the same resolved role.
-    const bool pipeline_frontend = spec.frontend == "pipeline";
-    for (const std::string &text : spec.workloads) {
-        const WorkloadRole role = parseWorkload(text).role; // throws
-        if (pipeline_frontend && role != WorkloadRole::kPipeline)
-            throw std::invalid_argument(
-                "frontend 'pipeline' selected but workload '" + text +
-                "' is not a pipeline");
-        if (!pipeline_frontend && spec.frontend == "program" &&
-            role == WorkloadRole::kPipeline) {
-            throw std::invalid_argument(
-                "pipeline workloads need `frontend = pipeline` (or "
-                "the `pipeline =` shorthand)");
-        }
-    }
-    if (pipeline_frontend && spec.workloads.empty())
-        throw std::invalid_argument(
-            "frontend 'pipeline' needs `workload = <pipeline>` "
-            "(e.g. one of: " + mixRegistry().namesJoined() + ")");
-    if (spec.workloads.empty() && spec.workloadFiles.empty() &&
-        spec.threads.empty())
-        throw std::invalid_argument("spec selects no thread counts");
-    if (spec.machine.schedSeed != 0 &&
-        spec.machine.schedPolicy != SchedPolicy::kRandom) {
-        throw std::invalid_argument(
-            "sched-seed only affects `sched = random`; the seed would "
-            "be silently ignored");
-    }
-    // Resolve every label now so a typo fails with the registry's
-    // message before any job runs.
-    for (const std::string &label : spec.profiles)
-        if (!profileRegistry().find(label))
-            profileRegistry().at(label); // throws, listing valid names
-}
-
-SweepGrid
-specGrid(const ExperimentSpec &spec)
-{
-    validateSpec(spec);
-    SweepGrid grid;
-    if (!spec.workloadFiles.empty()) {
-        // Each .wdl file carries its own groups and thread counts.
-        grid.workloadFiles = spec.workloadFiles;
-        grid.threads.clear();
-    } else if (!spec.workloads.empty()) {
-        // The workload axis carries its own profiles/thread counts.
-        grid.workloads = spec.workloads;
-        grid.threads.clear();
-    } else {
-        grid.profiles = spec.profiles.empty() ? allProfileLabels()
-                                              : spec.profiles;
-        grid.threads = spec.threads;
-    }
-    grid.cores = spec.cores;
-    grid.llcBytes = spec.llcBytes;
-    grid.baseParams = spec.machine;
-    grid.seedOffset = spec.seedOffset;
-    return grid;
-}
-
-ExperimentSpec
-specForJob(const JobSpec &job)
-{
-    ExperimentSpec spec;
-    const WorkloadSpec &w = job.workload;
-    if (w.wdlProgram) {
-        // WDL workloads serialize by source path: the leased worker
-        // re-compiles the file, and the fingerprint (which hashes the
-        // compiled IR, not the path) proves it reconstructed the
-        // identical workload. A programmatically built WorkloadSpec
-        // with no source path cannot be leased as a spec.
-        if (w.wdlPath.empty())
-            throw std::invalid_argument(
-                "cannot serialize a WDL workload with no source path");
-        spec.workloadFiles = {w.wdlPath};
-        spec.frontend = "workload-file";
-    } else if (w.isHomogeneous() && w.name.empty()) {
-        spec.profiles = {w.groups[0].profile.label()};
-        spec.threads = {w.groups[0].nthreads};
-    } else {
-        // Registry name when set, canonical inline descriptor
-        // otherwise; either way canonicalWorkloadText() resolves it
-        // through the registries (throwing on unknown labels) so the
-        // receiving side reconstructs the identical workload. The
-        // threads axis stays at its default — workloads carry their own
-        // thread counts and validateSpec rejects anything else.
-        spec.workloads = {canonicalWorkloadText(
-            w.name.empty() ? w.descriptor() : w.name)};
-        spec.frontend = w.role == WorkloadRole::kPipeline ? "pipeline"
-                                                          : "program";
-    }
-    if (job.ncores > 0)
-        spec.cores = {job.ncores};
-    spec.seedOffset = job.seedOffset;
-    spec.machine = job.params;
-    // Deterministic policies ignore the seed; canonicalize it away so
-    // the spec validates and fingerprints match the original job.
-    spec.machine.schedSeed = canonicalSchedSeed(
-        spec.machine.schedPolicy, spec.machine.schedSeed);
-    return spec;
-}
-
-void
-applySpecToDriverOptions(const ExperimentSpec &spec, DriverOptions &opts)
-{
-    if (opSourceRegistry().at(spec.frontend).needsTraceDir)
-        opts.traceDir = spec.traceDir;
+            "trace-dir cannot drive a cores axis: recordings embed the "
+            "schedule of a #cores == #threads run, so oversubscribed "
+            "jobs would silently regenerate live instead of replaying");
 }
 
 } // namespace sst

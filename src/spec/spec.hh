@@ -1,10 +1,16 @@
 /**
  * @file
  * ExperimentSpec: a fully declarative description of one speedup-stack
- * study — workload selection, sweep axes (threads, cores, LLC sizes),
- * machine parameters, scheduler policy + seed, workload frontend
- * (live generation or trace replay) and output options — that parses
+ * study — the sweep grid (workload selection, threads/cores/LLC axes,
+ * machine parameters, scheduler policy + seed, replication stream), an
+ * optional recorded-trace directory and output options — that parses
  * from and serializes to a canonical `key = value` text format.
+ *
+ * The op source of every job follows from the inputs, never from a
+ * separate switch: `trace-dir` set replays recordings, `workload-file`
+ * compiles .wdl files, a pipeline workload (`workload = ferret16`) runs
+ * its barrier-coupled stages, and everything else generates profile
+ * streams live.
  *
  * Guarantees:
  *  - round trip: parseSpec(serializeSpec(s)) == s for every valid s;
@@ -19,78 +25,37 @@
  * Spec files are plain text: one `key = value` per line, `#` comments
  * (a '#' at line start or after whitespace; `run#1.csv` is a value),
  * blank lines ignored, later keys override earlier ones. All names
- * (profiles, scheduler policies, frontends, machine keys) resolve
- * through registries/tables, so every unknown-label error lists the
- * valid names.
+ * (profiles, mixes, scheduler policies, machine keys) resolve through
+ * registries/tables, so every unknown-label error lists the valid
+ * names.
  */
 
 #ifndef SST_SPEC_SPEC_HH
 #define SST_SPEC_SPEC_HH
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "driver/driver.hh"
 #include "driver/sweep.hh"
-#include "sim/params.hh"
 
 namespace sst {
 
 /** One declarative experiment description. See file comment. */
 struct ExperimentSpec
 {
-    /** Benchmark labels; empty selects the whole Figure 6 suite. */
-    std::vector<std::string> profiles;
+    /**
+     * The sweep grid. Spec keys map onto it one to one: `profiles`
+     * (empty = the whole Figure 6 suite), `workload`, `workload-file`,
+     * `threads`, `cores`, `llc`, `seed-offset`, and the machine
+     * section (`sched`, `sched-seed`, `machine.*`) in grid.baseParams.
+     * Workload descriptors are stored canonicalized.
+     */
+    SweepGrid grid;
 
     /**
-     * Heterogeneous-workload axis (`workload = fig08_cholesky,
-     * cholesky:8+fft:8`): registered mix/pipeline names or inline
-     * descriptors, stored canonicalized. Mutually exclusive with
-     * `profiles`; each workload carries its own thread counts, so the
-     * `threads` axis does not apply. The `pipeline = <name>` spec key
-     * is sugar for `workload = <name>` + `frontend = pipeline`.
+     * Recorded-trace directory. When set, every job whose canonical
+     * recording exists there replays it instead of generating ops.
      */
-    std::vector<std::string> workloads;
-
-    /**
-     * Workload-description files (`workload-file = contention.wdl`):
-     * paths to `.wdl` scenario sources compiled by the WDL frontend.
-     * Mutually exclusive with `profiles` and `workloads`; each file
-     * declares its own groups and thread counts, so the `threads` axis
-     * does not apply. Setting the key is sugar for
-     * `frontend = workload-file`. Fingerprints hash the compiled IR,
-     * never these paths.
-     */
-    std::vector<std::string> workloadFiles;
-
-    /** Thread counts (sweep axis). */
-    std::vector<int> threads = {16};
-
-    /**
-     * Core counts (sweep axis); empty runs every job with
-     * #cores == #threads. A list crosses with `threads`, enabling the
-     * Figure 7 oversubscription studies (16 threads on 2/4/8/16 cores).
-     */
-    std::vector<int> cores;
-
-    /** LLC sizes in bytes (sweep axis); empty keeps machine.llc-bytes. */
-    std::vector<std::uint64_t> llcBytes;
-
-    /** Replication RNG stream selector (see JobSpec::seedOffset). */
-    std::uint64_t seedOffset = 0;
-
-    /** Workload frontend name (opSourceRegistry): program | trace. */
-    std::string frontend = "program";
-
-    /** Recorded-trace directory; required by frontends that replay. */
     std::string traceDir;
-
-    /**
-     * Machine configuration, including the scheduler policy and seed
-     * (spec keys `sched` / `sched-seed` and the `machine.*` section).
-     */
-    SimParams machine;
 
     // ---- output options ---------------------------------------------------
     std::string csvPath;  ///< write the batch as CSV when non-empty
@@ -107,7 +72,8 @@ bool operator!=(const ExperimentSpec &a, const ExperimentSpec &b);
  * mutation path shared by the file parser and the CLI flag layer (a
  * `--sched X` flag is applySpecValue(spec, "sched", "X")), so flags and
  * spec files can never drift apart. Throws std::invalid_argument on an
- * unknown key (listing every valid key) or a malformed value.
+ * unknown key (listing every valid key) or a malformed value. Checks
+ * that involve more than one key wait for validateSpec().
  */
 void applySpecValue(ExperimentSpec &spec, const std::string &key,
                     const std::string &value);
@@ -128,35 +94,11 @@ ExperimentSpec parseSpecFile(const std::string &path);
 std::string serializeSpec(const ExperimentSpec &spec);
 
 /**
- * Validate cross-field constraints: known frontend (trace frontends
- * need trace-dir, generator frontends must not have one), resolvable
- * profile labels, non-empty axes, and sched-seed only with a stochastic
- * policy. Throws std::invalid_argument with registry-sourced messages.
+ * Validate cross-field constraints: the grid's (validateGrid) plus a
+ * trace directory only without a cores axis. Throws
+ * std::invalid_argument with registry-sourced messages.
  */
 void validateSpec(const ExperimentSpec &spec);
-
-/** Expand @p spec's axes into the driver's sweep grid. */
-SweepGrid specGrid(const ExperimentSpec &spec);
-
-/**
- * The single-job spec: an ExperimentSpec whose grid expands to exactly
- * @p job, so any job can be written out as a spec file. The result
- * validates and round-trips: expandGrid(specGrid(specForJob(job)))
- * yields one job with a fingerprint equal to fingerprintJob(job).
- * Requires @p job's profiles/workload to be registry-resolvable (true
- * for every job a spec produced); the scheduler seed is canonicalized
- * (dropped for deterministic policies) exactly like the fingerprint.
- * Throws std::invalid_argument for non-registry workloads.
- */
-ExperimentSpec specForJob(const JobSpec &job);
-
-/**
- * Apply @p spec's execution-relevant settings (frontend -> trace-dir)
- * to @p opts. Jobs/cache settings stay CLI-level: they affect how a
- * batch executes, never what it computes.
- */
-void applySpecToDriverOptions(const ExperimentSpec &spec,
-                              DriverOptions &opts);
 
 } // namespace sst
 

@@ -1,7 +1,6 @@
 #include "trace_run.hh"
 
 #include <cstdio>
-#include <fstream>
 
 #include "cache/hierarchy.hh"
 #include "driver/fingerprint.hh"
@@ -42,34 +41,26 @@ traceProfileHash(const BenchmarkProfile &profile)
 std::uint64_t
 traceWorkloadHash(const WorkloadSpec &workload)
 {
-    if (workload.wdlProgram) {
-        std::string canonical;
-        canonical += "workload.role=";
-        canonical += workloadRoleName(workload.role);
-        canonical += '\n';
-        for (std::size_t g = 0; g < workload.groups.size(); ++g) {
-            canonical += "workload.group=" + std::to_string(g) + '\n';
-            canonical += "group.nthreads=" +
-                         std::to_string(workload.groups[g].nthreads) + '\n';
-            canonical += "group.seed=" +
-                         std::to_string(workload.groups[g].profile.seed) +
-                         '\n';
-        }
-        canonical += workload.wdlProgram->canonicalText();
-        return fnv1a64(canonical);
-    }
-    if (workload.isHomogeneous())
+    if (!workload.wdlProgram && workload.isHomogeneous())
         return traceProfileHash(workload.groups[0].profile);
     std::string canonical;
     canonical += "workload.role=";
     canonical += workloadRoleName(workload.role);
     canonical += '\n';
     for (std::size_t g = 0; g < workload.groups.size(); ++g) {
+        const WorkloadGroup &wg = workload.groups[g];
         canonical += "workload.group=" + std::to_string(g) + '\n';
-        canonical += "group.nthreads=" +
-                     std::to_string(workload.groups[g].nthreads) + '\n';
-        encodeProfile(canonical, workload.groups[g].profile);
+        canonical += "group.nthreads=" + std::to_string(wg.nthreads) + '\n';
+        // A WDL group's streams come from the IR below and its seed,
+        // not from the placeholder profile knobs.
+        if (workload.wdlProgram)
+            canonical +=
+                "group.seed=" + std::to_string(wg.profile.seed) + '\n';
+        else
+            encodeProfile(canonical, wg.profile);
     }
+    if (workload.wdlProgram)
+        canonical += workload.wdlProgram->canonicalText();
     return fnv1a64(canonical);
 }
 
@@ -108,16 +99,29 @@ traceMetaFor(const WorkloadSpec &workload, const SimParams &params)
 }
 
 std::string
-tracePathFor(const std::string &dir, const BenchmarkProfile &profile,
-             int nthreads, std::uint64_t seed_offset, SchedPolicy policy,
+tracePathFor(const std::string &dir, const WorkloadSpec &workload,
+             std::uint64_t seed_offset, SchedPolicy policy,
              std::uint64_t sched_seed)
 {
+    std::string label = workload.label();
+    if (workload.wdlProgram) {
+        // Two different .wdl files may share a workload name; suffix a
+        // short content hash so their recordings never collide.
+        char hash[12];
+        std::snprintf(hash, sizeof(hash), "_%08x",
+                      static_cast<unsigned>(workload.wdlProgram->irHash() &
+                                            0xffffffffu));
+        label += hash;
+    }
+    for (char &c : label)
+        if (c == '/')
+            c = '_';
     std::string path = dir;
     if (!path.empty() && path.back() != '/')
         path += '/';
-    path += profile.label();
+    path += label;
     path += "_t";
-    path += std::to_string(nthreads);
+    path += std::to_string(workload.nthreads());
     if (seed_offset != 0) {
         path += "_s";
         path += std::to_string(seed_offset);
@@ -137,48 +141,12 @@ tracePathFor(const std::string &dir, const BenchmarkProfile &profile,
 }
 
 std::string
-tracePathFor(const std::string &dir, const WorkloadSpec &workload,
-             std::uint64_t seed_offset, SchedPolicy policy,
+tracePathFor(const std::string &dir, const BenchmarkProfile &profile,
+             int nthreads, std::uint64_t seed_offset, SchedPolicy policy,
              std::uint64_t sched_seed)
 {
-    if (!workload.wdlProgram && workload.isHomogeneous()) {
-        return tracePathFor(dir, workload.groups[0].profile,
-                            workload.nthreads(), seed_offset, policy,
-                            sched_seed);
-    }
-    std::string path = dir;
-    if (!path.empty() && path.back() != '/')
-        path += '/';
-    std::string label = workload.label();
-    if (workload.wdlProgram) {
-        // Two different .wdl files may share a workload name; suffix a
-        // short content hash so their recordings never collide.
-        char hash[12];
-        std::snprintf(hash, sizeof(hash), "_%08x",
-                      static_cast<unsigned>(workload.wdlProgram->irHash() &
-                                            0xffffffffu));
-        label += hash;
-    }
-    for (char &c : label)
-        if (c == '/')
-            c = '_';
-    path += label;
-    path += "_t";
-    path += std::to_string(workload.nthreads());
-    if (seed_offset != 0) {
-        path += "_s";
-        path += std::to_string(seed_offset);
-    }
-    if (policy != SchedPolicy::kAffinityFifo) {
-        path += '_';
-        path += schedPolicyLabel(policy);
-        if (canonicalSchedSeed(policy, sched_seed) != 0) {
-            path += "_ss";
-            path += std::to_string(sched_seed);
-        }
-    }
-    path += trace::kFileSuffix;
-    return path;
+    return tracePathFor(dir, WorkloadSpec::homogeneous(profile, nthreads),
+                        seed_offset, policy, sched_seed);
 }
 
 void
@@ -188,10 +156,8 @@ appendGeneratedBaseline(TraceWriter &writer, const WorkloadSpec &workload,
     // The 1-thread stream is a pure function of the workload: enumerate
     // it directly. The bytes equal a RecordingSource capture of a live
     // baseline run, because the simulator pulls each op exactly once.
-    // The factory owns the profile a ThreadProgram reads: keep it alive.
-    const OpSourceFactory factory =
-        workloadGroupBaselineSources(workload, group);
-    const std::unique_ptr<OpSource> source = factory(0, 1);
+    const std::unique_ptr<OpSource> source =
+        workloadGroupBaselineSources(workload, group)(0, 1);
     const int stream = writer.baselineStream(group);
     for (;;) {
         const Op op = source->nextOp();
@@ -199,81 +165,6 @@ appendGeneratedBaseline(TraceWriter &writer, const WorkloadSpec &workload,
         if (op.type == OpType::kEnd)
             return;
     }
-}
-
-SpeedupExperiment
-recordSpeedupTrace(const SimParams &params,
-                   const BenchmarkProfile &profile, int nthreads,
-                   const std::string &path, std::uint64_t *ops_recorded)
-{
-    return recordSpeedupTrace(
-        params, WorkloadSpec::homogeneous(profile, nthreads), path,
-        ops_recorded);
-}
-
-SpeedupExperiment
-recordSpeedupTrace(const SimParams &params, const WorkloadSpec &workload,
-                   const std::string &path, std::uint64_t *ops_recorded)
-{
-    workload.validate();
-    const int nthreads = workload.nthreads();
-    if (nthreads < 1 || nthreads > static_cast<int>(trace::kMaxThreads)) {
-        throw TraceError("cannot record a trace with " +
-                         std::to_string(nthreads) +
-                         " threads (format limit " +
-                         std::to_string(trace::kMaxThreads) + ")");
-    }
-    // Probe the output path up front: an unwritable destination should
-    // fail in milliseconds, not after the simulations have run. Probe
-    // the temp name writeFile() publishes through, so a never-completed
-    // recording leaves no file at the final path.
-    {
-        const std::string tmp = path + ".tmp";
-        std::ofstream probe(tmp, std::ios::binary | std::ios::app);
-        if (!probe)
-            throw TraceError("cannot open trace file for writing: " +
-                             tmp);
-    }
-    TraceWriter writer(traceMetaFor(workload, params));
-
-    // All runs execute exactly as in runMixExperiment(); the recording
-    // shim forwards every op unchanged, so the returned experiment is
-    // the live result, not an approximation of it. Each group's
-    // 1-thread reference run records into its own baseline stream.
-    std::vector<RunResult> bases;
-    bases.reserve(workload.groups.size());
-    for (std::size_t g = 0; g < workload.groups.size(); ++g) {
-        const OpSourceFactory base =
-            workloadGroupBaselineSources(workload, static_cast<int>(g));
-        const int stream = writer.baselineStream(static_cast<int>(g));
-        bases.push_back(simulateSources(
-            params,
-            [&](ThreadId tid, int n) -> std::unique_ptr<OpSource> {
-                return std::make_unique<RecordingSource>(base(tid, n),
-                                                         writer, stream);
-            },
-            1));
-    }
-
-    const OpSourceFactory inner = workloadOpSources(workload);
-    const ThreadTopology topo = workload.topology(nthreads);
-    RunResult parallel = simulateSources(
-        params,
-        [&](ThreadId tid, int n) -> std::unique_ptr<OpSource> {
-            return std::make_unique<RecordingSource>(inner(tid, n),
-                                                     writer, tid);
-        },
-        nthreads, 0, &topo);
-
-    writer.writeFile(path);
-    if (ops_recorded) {
-        *ops_recorded = 0;
-        for (int s = 0; s < nthreads + workload.ngroups(); ++s)
-            *ops_recorded += writer.opCount(s);
-    }
-    return assembleExperiment(workload.label(), nthreads, params,
-                              combineGroupBaselines(bases),
-                              std::move(parallel));
 }
 
 RunResult
@@ -314,13 +205,6 @@ replayBaseline(const SimParams &params, const TraceReader &reader,
             return reader.baselineSource(group);
         },
         1);
-}
-
-SpeedupExperiment
-replaySpeedupTrace(const SimParams &params, const std::string &path)
-{
-    const TraceReader reader(path);
-    return replaySpeedupTrace(params, reader);
 }
 
 SpeedupExperiment

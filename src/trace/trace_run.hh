@@ -1,11 +1,12 @@
 /**
  * @file
  * High-level trace workflows tying the capture/replay primitives to the
- * experiment machinery: record a profile's speedup experiment while
- * writing the trace (live results come for free), replay a recorded
- * trace into a bit-identical experiment without constructing a single
- * ThreadProgram, and the canonical trace-directory naming the driver's
- * `--trace-dir` mode uses to find recordings.
+ * experiment machinery: the trace header and canonical file name of a
+ * workload, baseline streams filled by pure generation, and replay of
+ * a recorded trace into a bit-identical experiment without
+ * constructing a single ThreadProgram. Recording itself runs through
+ * the experiment driver (DriverOptions::recordDir), so a trace is
+ * always captured exactly as a batch job runs it.
  */
 
 #ifndef SST_TRACE_TRACE_RUN_HH
@@ -44,28 +45,25 @@ trace::TraceMeta traceMetaFor(const WorkloadSpec &workload,
                               const SimParams &params);
 
 /**
- * Canonical path of @p profile's @p nthreads-thread trace in @p dir.
- * A nonzero replication stream (@p seed_offset, see JobSpec) gets its
- * own `_sK` suffix, a non-default scheduler policy a `_<policy>`
- * suffix, and a random-policy RNG stream a further `_ssK` suffix — so
- * recordings of different configurations coexist instead of silently
- * overwriting each other, and a sweep at a different configuration
- * falls back to live generation instead of tripping over the wrong
- * recording. Default-configuration names are unchanged.
+ * Canonical path of @p workload's trace in @p dir: the workload label
+ * (a .wdl workload adds a short IR hash, so two files sharing a name
+ * never collide) and `_t<threads>`. A nonzero replication stream
+ * (@p seed_offset, see JobSpec) gets its own `_sK` suffix, a
+ * non-default scheduler policy a `_<policy>` suffix, and a
+ * random-policy RNG stream a further `_ssK` suffix — so recordings of
+ * different configurations coexist instead of silently overwriting
+ * each other, and a sweep at a different configuration falls back to
+ * live generation instead of tripping over the wrong recording.
  */
 std::string tracePathFor(const std::string &dir,
-                         const BenchmarkProfile &profile, int nthreads,
+                         const WorkloadSpec &workload,
                          std::uint64_t seed_offset = 0,
                          SchedPolicy policy = SchedPolicy::kAffinityFifo,
                          std::uint64_t sched_seed = 0);
 
-/**
- * As above for a whole workload: homogeneous specs keep the historical
- * profile naming; heterogeneous specs name the file by the workload
- * label ("a:8+b:8_t16.sstt").
- */
+/** As above for @p nthreads threads of @p profile ("cholesky_t4"). */
 std::string tracePathFor(const std::string &dir,
-                         const WorkloadSpec &workload,
+                         const BenchmarkProfile &profile, int nthreads,
                          std::uint64_t seed_offset = 0,
                          SchedPolicy policy = SchedPolicy::kAffinityFifo,
                          std::uint64_t sched_seed = 0);
@@ -75,38 +73,12 @@ std::string tracePathFor(const std::string &dir,
  * @p writer's corresponding baseline stream by pure generation — an op
  * stream is a deterministic function of the workload (its profile or
  * compiled WDL IR), so no simulation is needed and the bytes equal
- * what a recorded live baseline run would capture. This is how `sst
- * sweep --record-dir` fills baseline streams without re-running
+ * what a recorded live baseline run would capture. This is how the
+ * driver's recordDir mode fills baseline streams without re-running
  * baselines every job.
  */
 void appendGeneratedBaseline(TraceWriter &writer,
                              const WorkloadSpec &workload, int group);
-
-/**
- * Run the full speedup experiment (1-thread baseline + @p nthreads-run)
- * while recording both op streams, and write the trace container to
- * @p path. Returns the live experiment — identical to what
- * runSpeedupExperiment() produces, since the capture shim is
- * transparent. Throws TraceError (not an assert) on an out-of-range
- * thread count or an unwritable path.
- *
- * @param[out] ops_recorded total ops across all streams when non-null
- */
-SpeedupExperiment recordSpeedupTrace(const SimParams &params,
-                                     const BenchmarkProfile &profile,
-                                     int nthreads,
-                                     const std::string &path,
-                                     std::uint64_t *ops_recorded = nullptr);
-
-/**
- * As above for a whole workload: per-group 1-thread reference runs
- * (each recorded into its baseline stream) plus the co-scheduled
- * parallel run, all captured into one container at @p path.
- */
-SpeedupExperiment recordSpeedupTrace(const SimParams &params,
-                                     const WorkloadSpec &workload,
-                                     const std::string &path,
-                                     std::uint64_t *ops_recorded = nullptr);
 
 /** Replay the parallel run of @p reader (cores pinned like simulate();
  *  the recorded workload's barrier quorums and affinity hints are
@@ -119,17 +91,13 @@ RunResult replayBaseline(const SimParams &params,
                          const TraceReader &reader, int group = 0);
 
 /**
- * Re-simulate both recorded runs of the trace at @p path and assemble
- * the speedup experiment. The scheduler policy recorded in the trace
+ * Re-simulate both recorded runs of @p reader's trace and assemble the
+ * speedup experiment. The scheduler policy recorded in the trace
  * header overrides @p params.schedPolicy (recorded stacks only
  * reproduce under the schedule they were captured with). Bit-identical
  * to the experiment measured at record time when @p params matches; no
  * workload generation happens on this path.
  */
-SpeedupExperiment replaySpeedupTrace(const SimParams &params,
-                                     const std::string &path);
-
-/** As above, over an already-opened reader (saves a re-parse). */
 SpeedupExperiment replaySpeedupTrace(const SimParams &params,
                                      const TraceReader &reader);
 

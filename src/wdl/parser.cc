@@ -464,10 +464,19 @@ class Parser
         // Each transaction op is acquire + compute + references +
         // release. Clamping both factors to the limit keeps the product
         // exact below it and over it whenever either factor is.
+        checkStatementOps(kw, "txn_ops x (3 + memory)", txnOps(s));
+    }
+
+    /** Worst-case ops of a txn statement, exact up to kMaxStatementOps.
+     *  Clamping both factors to the limit keeps the product exact below
+     *  it and over it whenever either factor is. */
+    static std::uint64_t
+    txnOps(const Stmt &s)
+    {
         const std::uint64_t txns = std::min(s.count.max(), kMaxStatementOps);
         const std::uint64_t refs =
             std::min(s.csMemory.max(), kMaxStatementOps);
-        checkStatementOps(kw, "txn_ops x (3 + memory)", txns * (3 + refs));
+        return txns * (3 + refs);
     }
 
     int
@@ -508,6 +517,8 @@ class Parser
         if (prog_.groups.size() > static_cast<std::size_t>(kMaxWorkloadGroups))
             fail(peek(), "too many groups (max " +
                              std::to_string(kMaxWorkloadGroups) + ")");
+        for (const GroupIR &g : prog_.groups)
+            bodyWork(g.body, g);
         if (prog_.groups.size() == 1) {
             if (roleSet_ && prog_.role == WorkloadRole::kPipeline)
                 fail(peek(), "role pipeline needs at least 2 groups");
@@ -615,6 +626,46 @@ class Parser
             }
             }
         }
+    }
+
+    /**
+     * Worst-case statement executions of one thread of @p g running
+     * @p body (see kMaxThreadWork); the full trip counts bound the
+     * sequential baseline and every thread of the parallel run alike.
+     * Fails at the first statement whose running total crosses the
+     * limit, so every partial sum stays at or below it.
+     */
+    std::uint64_t
+    bodyWork(const std::vector<Stmt> &body, const GroupIR &g) const
+    {
+        std::uint64_t total = 0;
+        for (const Stmt &s : body) {
+            std::uint64_t work = 1;
+            if (s.kind == Stmt::Kind::kMemory) {
+                work = std::max<std::uint64_t>(1, s.count.max());
+            } else if (s.kind == Stmt::Kind::kTxn) {
+                work = std::max<std::uint64_t>(1, txnOps(s));
+            } else if (s.kind == Stmt::Kind::kLock ||
+                       s.kind == Stmt::Kind::kPhase) {
+                work = 1 + bodyWork(s.body, g);
+            } else if (s.kind == Stmt::Kind::kLoop) {
+                const std::uint64_t inner =
+                    std::max<std::uint64_t>(1, bodyWork(s.body, g));
+                const std::uint64_t trips =
+                    std::max<std::uint64_t>(1, s.count.max());
+                // Saturate just above the limit: the check below fails.
+                work = trips > kMaxThreadWork / inner ? kMaxThreadWork + 1
+                                                      : trips * inner;
+            }
+            total += work;
+            if (total > kMaxThreadWork)
+                failAt(s, "group '" + g.name +
+                              "' exceeds the per-thread limit of " +
+                              std::to_string(kMaxThreadWork) +
+                              " statement executions (loop trip counts "
+                              "multiply through nesting)");
+        }
+        return total;
     }
 
     [[noreturn]] void

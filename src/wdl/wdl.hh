@@ -52,6 +52,14 @@ inline constexpr std::uint64_t kMaxRegionBytes = 64ull * 1024 * 1024;
  *  can ask for (wrap larger amounts in a loop). */
 inline constexpr std::uint64_t kMaxStatementOps = std::uint64_t(1) << 20;
 
+/** Most statement executions one thread (or a group's sequential
+ *  baseline) may perform, checked at parse time: loop trip counts
+ *  multiply through nesting, every statement counts at least once and
+ *  `memory`/`txn` count their largest op count. A loop whose body emits
+ *  no op (`compute 0`, or a lock in the baseline, where lock ops are
+ *  elided) otherwise spins without ever yielding an op. */
+inline constexpr std::uint64_t kMaxThreadWork = std::uint64_t(1) << 26;
+
 /** A cycle/count argument: a constant or a uniform integer range. */
 struct Dist
 {

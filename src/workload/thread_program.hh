@@ -88,7 +88,8 @@ class ThreadProgram : public OpEmitter
     /** Iterations assigned to this thread in @p phase. */
     std::uint64_t itersInPhase(int phase) const;
 
-    const BenchmarkProfile &prof_;
+    /** Owned copy: a source may outlive the factory that built it. */
+    const BenchmarkProfile prof_;
     ThreadId tid_;
     int nthreads_;
     ThreadScope scope_;

@@ -216,8 +216,8 @@ workloadOpSources(const WorkloadSpec &spec)
     if (spec.wdlProgram)
         return wdl::workloadSources(spec);
 
-    // The factory owns the spec: group profiles must outlive every
-    // ThreadProgram (which holds its profile by reference).
+    // Shared by every copy of the factory; each ThreadProgram copies
+    // its group's profile, so sources may outlive the factory.
     auto owned = std::make_shared<const WorkloadSpec>(spec);
 
     // Homogeneous: exactly the historical factory, no scoping.

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "spec/registries.hh"
 #include "wdl/wdl.hh"
@@ -63,6 +64,15 @@ hashStream(Fnv &fnv, OpSource &src)
     ADD_FAILURE() << "stream longer than " << kStreamCap << " ops";
 }
 
+std::string
+hexDigest(const Fnv &fnv)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(fnv.h));
+    return buf;
+}
+
 /** Digest of every parallel stream, then every group baseline. */
 std::string
 workloadDigest(const WorkloadSpec &w)
@@ -73,10 +83,26 @@ workloadDigest(const WorkloadSpec &w)
         hashStream(fnv, *par(tid, w.nthreads()));
     for (int g = 0; g < w.ngroups(); ++g)
         hashStream(fnv, *workloadGroupBaselineSources(w, g)(0, 1));
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fnv.h));
-    return buf;
+    return hexDigest(fnv);
+}
+
+/**
+ * workloadDigest with every source built by a temporary factory, so
+ * each factory (and the workload copy it holds) is gone before its
+ * source emits the first op.
+ */
+std::string
+orphanedSourcesDigest(const WorkloadSpec &w)
+{
+    std::vector<std::unique_ptr<OpSource>> sources;
+    for (int tid = 0; tid < w.nthreads(); ++tid)
+        sources.push_back(workloadOpSources(w)(tid, w.nthreads()));
+    for (int g = 0; g < w.ngroups(); ++g)
+        sources.push_back(workloadGroupBaselineSources(w, g)(0, 1));
+    Fnv fnv;
+    for (const std::unique_ptr<OpSource> &src : sources)
+        hashStream(fnv, *src);
+    return hexDigest(fnv);
 }
 
 std::string
@@ -142,6 +168,22 @@ TEST(OpStreams, ProfilesArePinned)
                   c.digest)
             << c.label << " @ " << c.threads;
     }
+}
+
+TEST(OpStreams, SourcesOutliveTheirFactories)
+{
+    // A source owns what it reads (a ThreadProgram copies its profile),
+    // so draining it after its factory is destroyed yields the pinned
+    // stream; under ASan a source reading through a reference into its
+    // factory fails here with a heap-use-after-free.
+    EXPECT_EQ(orphanedSourcesDigest(WorkloadSpec::homogeneous(
+                  profileByLabel("cholesky"), 4)),
+              "b8c9bc4c243b67cc");
+    EXPECT_EQ(orphanedSourcesDigest(*mixRegistry().find("ferret4")),
+              "8728d76ad65e41c3");
+    EXPECT_EQ(orphanedSourcesDigest(wdl::loadWorkloadFile(
+                  repoPath("examples/workloads/contention.wdl"))),
+              "11de3101d97e153b");
 }
 
 } // namespace

@@ -1,12 +1,11 @@
 /**
  * @file
  * Tests of the declarative ExperimentSpec API: canonical-form round
- * trips and stability, the machine-key table, the three named
- * registries (enumeration order, aliasing, generated error messages),
- * spec -> grid expansion, the cores oversubscription axis,
+ * trips and stability, the machine-key table, the named registries
+ * (enumeration order, aliasing, generated error messages), grid
+ * validation and expansion, the cores oversubscription axis, and
  * fingerprint-v3 result-cache sharing between spec-driven and
- * flag-driven invocations, and specForJob's fingerprint-preserving
- * job -> spec round trip.
+ * flag-driven invocations.
  */
 
 #include <filesystem>
@@ -40,17 +39,18 @@ ExperimentSpec
 fullyPopulatedSpec()
 {
     ExperimentSpec spec;
-    spec.profiles = {"cholesky", "facesim_medium"};
-    spec.threads = {2, 4, 8, 16};
-    spec.cores = {2, 16};
-    spec.llcBytes = {1u << 20, 2u << 20};
-    spec.seedOffset = 7;
-    spec.machine.schedPolicy = SchedPolicy::kRandom;
-    spec.machine.schedSeed = 99;
-    spec.machine.cache.llcBytes = 4u << 20;
-    spec.machine.timeSliceCycles = 8000;
-    spec.machine.migrationFlushesL1 = true;
-    spec.machine.accounting.stackDetector =
+    spec.grid.profiles = {"cholesky", "facesim_medium"};
+    spec.grid.threads = {2, 4, 8, 16};
+    spec.grid.cores = {2, 16};
+    spec.grid.llcBytes = {1u << 20, 2u << 20};
+    spec.grid.seedOffset = 7;
+    SimParams &machine = spec.grid.baseParams;
+    machine.schedPolicy = SchedPolicy::kRandom;
+    machine.schedSeed = 99;
+    machine.cache.llcBytes = 4u << 20;
+    machine.timeSliceCycles = 8000;
+    machine.migrationFlushesL1 = true;
+    machine.accounting.stackDetector =
         AccountingParams::Detector::kLi;
     spec.csvPath = "out.csv";
     spec.quiet = true;
@@ -71,13 +71,14 @@ TEST(Spec, FullyPopulatedSpecRoundTrips)
     const ExperimentSpec back = parseSpec(serializeSpec(s));
     EXPECT_EQ(back, s);
     // Spot-check fields actually survived (not just text equality).
-    EXPECT_EQ(back.cores, (std::vector<int>{2, 16}));
-    EXPECT_EQ(back.machine.schedPolicy, SchedPolicy::kRandom);
-    EXPECT_EQ(back.machine.schedSeed, 99u);
-    EXPECT_EQ(back.machine.cache.llcBytes, 4u << 20);
-    EXPECT_EQ(back.machine.timeSliceCycles, 8000u);
-    EXPECT_TRUE(back.machine.migrationFlushesL1);
-    EXPECT_EQ(back.machine.accounting.stackDetector,
+    EXPECT_EQ(back.grid.cores, (std::vector<int>{2, 16}));
+    const SimParams &machine = back.grid.baseParams;
+    EXPECT_EQ(machine.schedPolicy, SchedPolicy::kRandom);
+    EXPECT_EQ(machine.schedSeed, 99u);
+    EXPECT_EQ(machine.cache.llcBytes, 4u << 20);
+    EXPECT_EQ(machine.timeSliceCycles, 8000u);
+    EXPECT_TRUE(machine.migrationFlushesL1);
+    EXPECT_EQ(machine.accounting.stackDetector,
               AccountingParams::Detector::kLi);
     EXPECT_EQ(back.csvPath, "out.csv");
     EXPECT_TRUE(back.quiet);
@@ -107,7 +108,7 @@ TEST(Spec, CommentsAndBlankLinesIgnored)
     const ExperimentSpec s = parseSpec("# a comment\n"
                                        "\n"
                                        "threads = 8   # trailing\n");
-    EXPECT_EQ(s.threads, (std::vector<int>{8}));
+    EXPECT_EQ(s.grid.threads, (std::vector<int>{8}));
 }
 
 TEST(Spec, NegativeIntegersAreRejectedNotWrapped)
@@ -139,24 +140,42 @@ TEST(Spec, HashInsideValuesSurvivesOnlyCommentsAreStripped)
     EXPECT_THROW(serializeSpec(bad), std::invalid_argument);
 }
 
-TEST(Spec, TraceFrontendRejectsCoresAxis)
+TEST(Spec, TraceDirRejectsCoresAxis)
 {
     // Recordings embed a #cores == #threads schedule; oversubscribed
     // jobs would silently regenerate live, so the spec is rejected.
     ExperimentSpec s;
-    s.frontend = "trace";
     s.traceDir = "/tmp/traces";
-    s.cores = {2, 4};
+    s.grid.cores = {2, 4};
     EXPECT_THROW(validateSpec(s), std::invalid_argument);
-    s.cores.clear();
+    s.grid.cores.clear();
     EXPECT_NO_THROW(validateSpec(s));
 }
 
 TEST(Spec, ProfilesAllMeansWholeSuite)
 {
     const ExperimentSpec s = parseSpec("profiles = all\n");
-    EXPECT_TRUE(s.profiles.empty());
-    EXPECT_EQ(specGrid(s).profiles, allProfileLabels());
+    EXPECT_TRUE(s.grid.profiles.empty());
+    const std::vector<JobSpec> jobs = expandGrid(s.grid);
+    ASSERT_EQ(jobs.size(), allProfileLabels().size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(jobs[i].label(), allProfileLabels()[i]);
+}
+
+TEST(Spec, OpSourceFollowsTheInputs)
+{
+    // No key selects how ops are produced: a pipeline workload runs
+    // as a pipeline, and the retired selector keys are unknown.
+    const ExperimentSpec s = parseSpec("workload = ferret16\n");
+    EXPECT_NO_THROW(validateSpec(s));
+    const std::vector<JobSpec> jobs = expandGrid(s.grid);
+    ASSERT_EQ(jobs.size(), 1u);
+    EXPECT_EQ(jobs[0].workload.role, WorkloadRole::kPipeline);
+    ExperimentSpec t;
+    EXPECT_THROW(applySpecValue(t, "frontend", "trace"),
+                 std::invalid_argument);
+    EXPECT_THROW(applySpecValue(t, "pipeline", "ferret16"),
+                 std::invalid_argument);
 }
 
 TEST(Spec, ParseErrorsCarryLineNumbers)
@@ -276,26 +295,12 @@ TEST(Registries, SchedulerRegistryOrderMatchesEnum)
     EXPECT_EQ(allSchedPolicyLabels(), names);
 }
 
-TEST(Registries, OpSourceRegistryListsFrontends)
-{
-    const auto &names = opSourceRegistry().names();
-    ASSERT_EQ(names.size(), 4u);
-    EXPECT_EQ(names[0], "program");
-    EXPECT_EQ(names[1], "trace");
-    EXPECT_EQ(names[2], "pipeline");
-    EXPECT_EQ(names[3], "workload-file");
-    EXPECT_TRUE(opSourceRegistry().at("trace").needsTraceDir);
-    EXPECT_FALSE(opSourceRegistry().at("program").needsTraceDir);
-    EXPECT_FALSE(opSourceRegistry().at("pipeline").needsTraceDir);
-    EXPECT_FALSE(opSourceRegistry().at("workload-file").needsTraceDir);
-}
-
 TEST(Registries, UnknownLabelsListValidNamesEverywhere)
 {
     // Profiles (through the spec layer).
     try {
         ExperimentSpec s;
-        s.profiles = {"not-a-benchmark"};
+        s.grid.profiles = {"not-a-benchmark"};
         validateSpec(s);
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &e) {
@@ -313,58 +318,37 @@ TEST(Registries, UnknownLabelsListValidNamesEverywhere)
                   std::string::npos)
             << e.what();
     }
-    // Frontends.
-    try {
-        ExperimentSpec s;
-        applySpecValue(s, "frontend", "not-a-frontend");
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("program"), std::string::npos) << what;
-        EXPECT_NE(what.find("trace"), std::string::npos) << what;
-    }
 }
 
 // ---- validation -------------------------------------------------------------
 
-TEST(Spec, TraceFrontendRequiresTraceDir)
-{
-    ExperimentSpec s;
-    s.frontend = "trace";
-    EXPECT_THROW(validateSpec(s), std::invalid_argument);
-    s.traceDir = "/tmp/traces";
-    EXPECT_NO_THROW(validateSpec(s));
-}
-
-TEST(Spec, TraceDirWithoutTraceFrontendRejected)
-{
-    ExperimentSpec s;
-    s.traceDir = "/tmp/traces"; // frontend is still "program"
-    EXPECT_THROW(validateSpec(s), std::invalid_argument);
-}
-
 TEST(Spec, SchedSeedWithoutRandomPolicyRejected)
 {
     ExperimentSpec s;
-    s.machine.schedSeed = 5;
+    s.grid.baseParams.schedSeed = 5;
     EXPECT_THROW(validateSpec(s), std::invalid_argument);
-    s.machine.schedPolicy = SchedPolicy::kRandom;
+    s.grid.baseParams.schedPolicy = SchedPolicy::kRandom;
     EXPECT_NO_THROW(validateSpec(s));
 }
 
-TEST(Spec, DriverOptionsGetTraceDirOnlyFromTraceFrontend)
+TEST(Spec, AxesAreExclusiveAndThreadsApplyToProfilesOnly)
 {
-    ExperimentSpec s;
-    s.frontend = "trace";
-    s.traceDir = "/tmp/traces";
-    DriverOptions opts;
-    applySpecToDriverOptions(s, opts);
-    EXPECT_EQ(opts.traceDir, "/tmp/traces");
-
-    ExperimentSpec p;
-    DriverOptions opts2;
-    applySpecToDriverOptions(p, opts2);
-    EXPECT_TRUE(opts2.traceDir.empty());
+    ExperimentSpec s = parseSpec("profiles = cholesky\n");
+    applySpecValue(s, "workload", "fig08_cholesky");
+    EXPECT_THROW(validateSpec(s), std::invalid_argument);
+    applySpecValue(s, "profiles", "all");
+    EXPECT_NO_THROW(validateSpec(s)); // threads keeps its default 16
+    applySpecValue(s, "threads", "16");
+    EXPECT_NO_THROW(validateSpec(s));
+    applySpecValue(s, "threads", "2, 4");
+    EXPECT_THROW(validateSpec(s), std::invalid_argument);
+    applySpecValue(s, "threads", "16");
+    applySpecValue(s, "workload-file", "a.wdl");
+    EXPECT_THROW(validateSpec(s), std::invalid_argument);
+    // The grid enforces the same rules on its own.
+    EXPECT_THROW(expandGrid(s.grid), std::invalid_argument);
+    ExperimentSpec none = parseSpec("threads =\n");
+    EXPECT_THROW(validateSpec(none), std::invalid_argument);
 }
 
 // ---- cores axis -------------------------------------------------------------
@@ -374,7 +358,7 @@ TEST(Spec, CoresAxisExpandsInnermost)
     ExperimentSpec s = parseSpec("profiles = cholesky\n"
                                  "threads = 16\n"
                                  "cores = 2, 4\n");
-    const std::vector<JobSpec> jobs = expandGrid(specGrid(s));
+    const std::vector<JobSpec> jobs = expandGrid(s.grid);
     ASSERT_EQ(jobs.size(), 2u);
     EXPECT_EQ(jobs[0].nthreads(), 16);
     EXPECT_EQ(jobs[0].ncores, 2);
@@ -435,7 +419,7 @@ TEST(Fingerprint, SpecAndFlagGridsProduceIdenticalFingerprints)
     const ExperimentSpec spec = parseSpec("profiles = cholesky\n"
                                           "threads = 2, 4\n"
                                           "sched = round-robin\n");
-    const std::vector<JobSpec> specJobs = expandGrid(specGrid(spec));
+    const std::vector<JobSpec> specJobs = expandGrid(spec.grid);
 
     // As `sweep --profiles cholesky --threads 2,4 --sched round-robin`
     // builds it.
@@ -477,52 +461,11 @@ TEST(Driver, SpecDrivenRunReusesFlagDrivenCacheEntries)
         parseSpec("profiles = cholesky\nthreads = 2\n");
     BatchStats second;
     const std::vector<JobResult> replay =
-        runExperimentBatch(expandGrid(specGrid(spec)), opts, &second);
+        runExperimentBatch(expandGrid(spec.grid), opts, &second);
     EXPECT_EQ(second.executed, 0u);
     EXPECT_EQ(second.cached, 1u);
     ASSERT_TRUE(replay[0].fromCache());
     std::filesystem::remove_all(dir);
-}
-
-// ---- specForJob -------------------------------------------------------------
-
-void
-expectSpecRoundTrip(const JobSpec &job)
-{
-    const ExperimentSpec spec = specForJob(job);
-    const std::string text = serializeSpec(spec);
-    EXPECT_EQ(parseSpec(text), spec); // canonical round trip
-
-    const std::vector<JobSpec> jobs = expandGrid(specGrid(spec));
-    ASSERT_EQ(jobs.size(), 1u) << text;
-    EXPECT_EQ(fingerprintJob(jobs[0]).canonical,
-              fingerprintJob(job).canonical)
-        << text;
-}
-
-TEST(SpecForJob, HomogeneousJobRoundTrips)
-{
-    JobSpec job;
-    job.workload =
-        WorkloadSpec::homogeneous(profileByLabel("cholesky"), 4);
-    job.ncores = 2; // oversubscribed
-    job.params.cache.llcBytes = 1 << 20;
-    job.params.schedPolicy = SchedPolicy::kRandom;
-    job.params.schedSeed = 7;
-    job.seedOffset = 3;
-    expectSpecRoundTrip(job);
-}
-
-TEST(SpecForJob, MixAndPipelineJobsRoundTrip)
-{
-    JobSpec mix;
-    mix.workload = parseWorkload("fig08_cholesky");
-    expectSpecRoundTrip(mix);
-
-    JobSpec pipeline;
-    pipeline.workload = parseWorkload("ferret4");
-    expectSpecRoundTrip(pipeline);
-    EXPECT_EQ(specForJob(pipeline).frontend, "pipeline");
 }
 
 // ---- spec files -------------------------------------------------------------
@@ -536,7 +479,7 @@ TEST(Spec, SpecFileParsesAndReportsPathOnError)
         std::ofstream out(good);
         out << "profiles = cholesky\nthreads = 2\n";
     }
-    EXPECT_EQ(parseSpecFile(good).threads, (std::vector<int>{2}));
+    EXPECT_EQ(parseSpecFile(good).grid.threads, (std::vector<int>{2}));
 
     const std::string bad = dir + "/bad.spec";
     {

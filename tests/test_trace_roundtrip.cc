@@ -1,11 +1,12 @@
 /**
  * @file
- * End-to-end trace round-trip tests: recording a run and replaying it
- * from the binary trace must reproduce the live results bit for bit —
- * execution times, speedup-stack components and every per-thread
- * accounting counter — across profiles and thread counts. Also covers
- * the driver's --trace-dir mode: replayed batches match live batches,
- * missing traces fall back to generation, and stale traces fail loudly.
+ * End-to-end trace round-trip tests: recording a job through the
+ * driver's record directory and replaying it from the binary trace must
+ * reproduce the live results bit for bit — execution times,
+ * speedup-stack components and every per-thread accounting counter —
+ * across profiles and thread counts. Also covers the driver's
+ * --trace-dir mode: replayed batches match live batches, missing
+ * traces fall back to generation, and stale traces fail loudly.
  */
 
 #include <filesystem>
@@ -110,11 +111,12 @@ roundTrip(const std::string &dir, const BenchmarkProfile &profile,
     const SimParams params;
 
     const SpeedupExperiment live =
-        recordSpeedupTrace(params, profile, nthreads, path);
-    const SpeedupExperiment replayed = replaySpeedupTrace(params, path);
+        test::recordJob(JobSpec::forProfile(profile, nthreads), dir);
+    ASSERT_TRUE(std::filesystem::exists(path));
+    const SpeedupExperiment replayed = replaySpeedupTrace(params, TraceReader(path));
     expectSameExperiment(live, replayed);
 
-    // The recording shim must also be transparent: the live experiment
+    // The recording shim must also be transparent: the experiment
     // measured while recording equals a plain run without the shim.
     expectSameExperiment(
         live, runSpeedupExperiment(params, profile, nthreads));
@@ -149,26 +151,16 @@ TEST(TraceRoundTrip, FftMatchesLiveBitForBit)
 
 // ---- driver --trace-dir ----------------------------------------------------
 
-JobSpec
-makeJob(const BenchmarkProfile &profile, int nthreads)
-{
-    return JobSpec::forProfile(profile, nthreads);
-}
-
 TEST(DriverTrace, BatchReplaysFromTraceDirAndMatchesLive)
 {
     const std::string dir = freshTempDir("driver_replay");
     const std::vector<JobSpec> specs = {
-        makeJob(test::computeOnlyProfile(), 2),
-        makeJob(test::lockHeavyProfile(), 4),
-        makeJob(test::barrierHeavyProfile(), 2)};
+        JobSpec::forProfile(test::computeOnlyProfile(), 2),
+        JobSpec::forProfile(test::lockHeavyProfile(), 4),
+        JobSpec::forProfile(test::barrierHeavyProfile(), 2)};
 
-    const SimParams params;
-    for (const JobSpec &s : specs) {
-        const BenchmarkProfile &profile = s.workload.groups[0].profile;
-        recordSpeedupTrace(params, profile, s.nthreads(),
-                           tracePathFor(dir, profile, s.nthreads()));
-    }
+    for (const JobSpec &s : specs)
+        test::recordJob(s, dir);
 
     DriverOptions live;
     live.jobs = 2;
@@ -197,7 +189,7 @@ TEST(DriverTrace, MissingTraceFallsBackToLiveGeneration)
     opts.traceDir = dir; // exists but holds no recordings
     BatchStats stats;
     const std::vector<JobResult> results = runExperimentBatch(
-        {makeJob(test::computeOnlyProfile(), 2)}, opts, &stats);
+        {JobSpec::forProfile(test::computeOnlyProfile(), 2)}, opts, &stats);
     ASSERT_TRUE(results[0].ok()) << results[0].error;
     EXPECT_FALSE(results[0].tracedReplay);
     EXPECT_EQ(stats.traceReplays, 0u);
@@ -211,10 +203,9 @@ TEST(DriverTrace, SeedOffsetLooksUpItsOwnRecording)
     // (different op streams): the job falls back to live generation.
     const std::string dir = freshTempDir("driver_seed_offset");
     const BenchmarkProfile profile = test::computeOnlyProfile();
-    recordSpeedupTrace(SimParams{}, profile, 2,
-                       tracePathFor(dir, profile, 2));
+    test::recordJob(JobSpec::forProfile(profile, 2), dir);
 
-    JobSpec offset = makeJob(profile, 2);
+    JobSpec offset = JobSpec::forProfile(profile, 2);
     offset.seedOffset = 1;
     DriverOptions opts;
     opts.traceDir = dir;
@@ -231,15 +222,14 @@ TEST(DriverTrace, StaleTraceFailsTheJobLoudly)
 {
     const std::string dir = freshTempDir("driver_stale");
     BenchmarkProfile profile = test::computeOnlyProfile();
-    recordSpeedupTrace(SimParams{}, profile, 2,
-                       tracePathFor(dir, profile, 2));
+    test::recordJob(JobSpec::forProfile(profile, 2), dir);
 
     // Same label, different op streams: the recording is now stale.
     profile.seed += 1;
     DriverOptions opts;
     opts.traceDir = dir;
     const std::vector<JobResult> results =
-        runExperimentBatch({makeJob(profile, 2)}, opts);
+        runExperimentBatch({JobSpec::forProfile(profile, 2)}, opts);
     ASSERT_FALSE(results[0].ok());
     EXPECT_NE(results[0].error.find("profile mismatch"),
               std::string::npos);

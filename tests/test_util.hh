@@ -1,12 +1,17 @@
 /**
  * @file
  * Shared helpers for the test suite: small controlled benchmark profiles
- * that exercise one mechanism at a time.
+ * that exercise one mechanism at a time, and trace recording through
+ * the experiment driver.
  */
 
 #ifndef SST_TESTS_TEST_UTIL_HH
 #define SST_TESTS_TEST_UTIL_HH
 
+#include <stdexcept>
+#include <string>
+
+#include "driver/driver.hh"
 #include "workload/profile.hh"
 
 namespace sst {
@@ -83,6 +88,24 @@ memoryHeavyProfile()
     p.privateHotBytes = 16 * 1024;
     p.privateHotFrac = 0.9;
     return p;
+}
+
+/**
+ * Record @p job's op streams into @p dir the way `sst trace record`
+ * does — a one-job batch with a record directory and no result cache —
+ * and return the experiment measured while recording. The trace lands
+ * at tracePathFor(dir, job.effectiveWorkload(), ...).
+ */
+inline SpeedupExperiment
+recordJob(const JobSpec &job, const std::string &dir)
+{
+    DriverOptions opts;
+    opts.recordDir = dir;
+    const JobResult result = runExperimentBatch({job}, opts).at(0);
+    if (!result.ok() || !result.traceRecorded)
+        throw std::runtime_error("recording " + job.label() +
+                                 " failed: " + result.error);
+    return result.exp;
 }
 
 } // namespace test

@@ -22,6 +22,7 @@
 #include "driver/driver.hh"
 #include "driver/fingerprint.hh"
 #include "spec/spec.hh"
+#include "tests/test_util.hh"
 #include "trace/trace_run.hh"
 #include "wdl/wdl.hh"
 #include "workload/op.hh"
@@ -232,19 +233,27 @@ TEST(WdlDiagnostics, SyncInsideCriticalSectionRejected)
                      "", "bad.wdl:");
 }
 
-TEST(WdlDiagnostics, OversizedTxnReproducerRejectedWithFileLine)
+/** Loading tests/data/@p file fails with "@p file:@p line" + @p needle. */
+void
+expectDataFileRejected(const std::string &file, int line,
+                       const char *needle)
 {
-    const std::string path =
-        std::string(SST_TESTS_DATA_DIR) + "/wdl_txn_oom.wdl";
+    const std::string path = std::string(SST_TESTS_DATA_DIR) + "/" + file;
     try {
         wdl::loadProgram(path);
-        FAIL() << "expected the per-statement op limit to reject " << path;
+        FAIL() << "expected " << path << " to be rejected";
     } catch (const std::invalid_argument &e) {
         const std::string msg = e.what();
-        EXPECT_NE(msg.find("wdl_txn_oom.wdl:6"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("per-statement limit"), std::string::npos)
+        EXPECT_NE(msg.find(file + ":" + std::to_string(line)),
+                  std::string::npos)
             << msg;
+        EXPECT_NE(msg.find(needle), std::string::npos) << msg;
     }
+}
+
+TEST(WdlDiagnostics, OversizedTxnReproducerRejectedWithFileLine)
+{
+    expectDataFileRejected("wdl_txn_oom.wdl", 6, "per-statement limit");
 }
 
 TEST(WdlDiagnostics, StatementOpCountsAreBounded)
@@ -281,6 +290,52 @@ TEST(WdlDiagnostics, StatementOpCountsAreBounded)
                           "locks=k txn_ops=0 memory=18446744073709551615\n"
                           "}\n",
                       "ok.wdl");
+}
+
+TEST(WdlDiagnostics, LoopHangReproducersRejectedWithFileLine)
+{
+    // Loops whose bodies emit no op (in the parallel run or in the
+    // sequential baseline) used to spin forever inside one refill.
+    expectDataFileRejected("wdl_loop_hang.wdl", 6, "per-thread limit");
+    expectDataFileRejected("wdl_lock_loop_hang.wdl", 8, "per-thread limit");
+}
+
+TEST(WdlDiagnostics, PerThreadWorkIsBounded)
+{
+    const std::uint64_t limit = wdl::kMaxThreadWork;
+    const auto group = [](const std::string &body) {
+        return "wdl 1\nlock l\ngroup g threads=2 {\n" + body + "}\n";
+    };
+    const auto loop = [](std::uint64_t trips, const std::string &body) {
+        return "loop " + std::to_string(trips) + " { " + body + " }\n";
+    };
+    // A body that emits nothing still counts once per trip.
+    wdl::parseProgram(group(loop(limit, "compute 0")), "ok.wdl");
+    wdl::parseProgram(group(loop(limit, "")), "ok.wdl");
+    expectParseError(group(loop(limit + 1, "compute 0")),
+                     "per-thread limit", "bad.wdl:4");
+    // Trip counts multiply through nesting; the outer loop is named.
+    wdl::parseProgram(group(loop(8192, loop(8192, "compute 1"))), "ok.wdl");
+    expectParseError(
+        group("compute 1\n" + loop(8193, loop(8192, "compute 1"))),
+        "per-thread limit", "bad.wdl:5");
+    // A uniform trip count is bounded by its largest draw.
+    expectParseError(group("loop uniform(1, " + std::to_string(limit + 1) +
+                           ") { compute 1 }\n"),
+                     "per-thread limit", "bad.wdl:4");
+    // memory counts its references, a lock itself plus its body.
+    wdl::parseProgram(group(loop(64, "memory 1048576")), "ok.wdl");
+    expectParseError(group(loop(64, "memory 1048576 compute 1")),
+                     "per-thread limit", "bad.wdl:4");
+    wdl::parseProgram(group(loop(limit / 2, "lock l { compute 1 }")),
+                      "ok.wdl");
+    expectParseError(group(loop(limit / 2 + 1, "lock l { compute 1 }")),
+                     "per-thread limit", "bad.wdl:4");
+    // The total over sibling statements is bounded too: the statement
+    // that crosses the limit is named.
+    expectParseError(group(loop(limit / 2, "compute 1") +
+                           loop(limit / 2, "compute 1") + "compute 1\n"),
+                     "per-thread limit", "bad.wdl:6");
 }
 
 TEST(WdlDiagnostics, ShippedWorkloadsStayWithinTheOpLimit)
@@ -392,16 +447,15 @@ TEST(WdlDriver, ResultsIdenticalAcrossWorkerCounts)
 
 TEST(WdlTrace, RecordThenReplayIsBitIdentical)
 {
-    const WorkloadSpec workload = specFromText(kContention, "t.wdl");
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "t_wdl_trace.sstt")
-            .string();
-    const SimParams params;
-    const SpeedupExperiment live =
-        recordSpeedupTrace(params, workload, path);
-    const SpeedupExperiment replayed = replaySpeedupTrace(params, path);
+    const JobSpec job = wdlJob(kContention);
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "t_wdl_trace").string();
+    std::filesystem::remove_all(dir);
+    const SpeedupExperiment live = test::recordJob(job, dir);
+    const SpeedupExperiment replayed = replaySpeedupTrace(
+        SimParams{}, TraceReader(tracePathFor(dir, job.effectiveWorkload())));
     expectSameExperiment(live, replayed);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 // ---- fingerprints ----------------------------------------------------------
@@ -436,13 +490,12 @@ TEST(WdlFingerprint, DifferentThetaDifferentFingerprint)
 
 // ---- spec integration ------------------------------------------------------
 
-TEST(WdlSpec, WorkloadFileKeyIsSugarForFrontend)
+TEST(WdlSpec, WorkloadFileKeySelectsTheFiles)
 {
     const ExperimentSpec spec =
         parseSpec("workload-file = examples/workloads/contention.wdl\n");
-    EXPECT_EQ(spec.frontend, "workload-file");
-    ASSERT_EQ(spec.workloadFiles.size(), 1u);
-    EXPECT_EQ(spec.workloadFiles[0],
+    ASSERT_EQ(spec.grid.workloadFiles.size(), 1u);
+    EXPECT_EQ(spec.grid.workloadFiles[0],
               "examples/workloads/contention.wdl");
     // Canonical round trip.
     EXPECT_EQ(parseSpec(serializeSpec(spec)), spec);
@@ -452,12 +505,12 @@ TEST(WdlSpec, WorkloadFileExclusiveWithOtherAxes)
 {
     ExperimentSpec spec;
     applySpecValue(spec, "workload-file", "a.wdl");
-    EXPECT_THROW(applySpecValue(spec, "workload", "fig08_cholesky"),
-                 std::invalid_argument);
-    ExperimentSpec other;
-    applySpecValue(other, "workload", "fig08_cholesky");
-    EXPECT_THROW(applySpecValue(other, "workload-file", "a.wdl"),
-                 std::invalid_argument);
+    applySpecValue(spec, "workload", "fig08_cholesky");
+    EXPECT_THROW(validateSpec(spec), std::invalid_argument);
+    ExperimentSpec profiles;
+    applySpecValue(profiles, "profiles", "cholesky");
+    applySpecValue(profiles, "workload-file", "a.wdl");
+    EXPECT_THROW(validateSpec(profiles), std::invalid_argument);
     ExperimentSpec threads;
     applySpecValue(threads, "workload-file", "a.wdl");
     applySpecValue(threads, "threads", "2,4");
@@ -478,15 +531,15 @@ TEST(WdlSpec, SpecErrorsCarryLineAndOffendingText)
     }
 }
 
-TEST(WdlSpec, SpecForJobRoundTripsThroughThePath)
+TEST(WdlSpec, WorkloadFileSpecExpandsToTheFileJob)
 {
     const std::string path = writeTemp("t_wdl_spec.wdl", kContention);
     JobSpec job;
     job.workload = wdl::loadWorkloadFile(path);
-    const ExperimentSpec spec = specForJob(job);
-    EXPECT_EQ(spec.frontend, "workload-file");
-    ASSERT_EQ(spec.workloadFiles.size(), 1u);
-    const std::vector<JobSpec> jobs = expandGrid(specGrid(spec));
+    ExperimentSpec spec;
+    applySpecValue(spec, "workload-file", path);
+    validateSpec(spec);
+    const std::vector<JobSpec> jobs = expandGrid(spec.grid);
     ASSERT_EQ(jobs.size(), 1u);
     EXPECT_EQ(fingerprintJob(jobs[0]).canonical,
               fingerprintJob(job).canonical);

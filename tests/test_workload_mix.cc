@@ -325,11 +325,13 @@ TEST(WorkloadTrace, RequireCompatibleRejectsPerThreadProfileMismatch)
 {
     const std::string dir = ::testing::TempDir() + "sst_mix_trace";
     std::filesystem::create_directories(dir);
-    const WorkloadSpec mix = smallMix();
-    const std::string path = tracePathFor(dir, mix);
-    recordSpeedupTrace(SimParams{}, mix, path);
-
-    const TraceReader reader(path);
+    JobSpec job;
+    job.workload = smallMix();
+    test::recordJob(job, dir);
+    // The recording carries the job's RNG streams (group 1 folds in
+    // its index), exactly as a batch job runs them.
+    const WorkloadSpec mix = job.effectiveWorkload();
+    const TraceReader reader(tracePathFor(dir, mix));
     EXPECT_EQ(reader.meta().version, trace::kTraceVersion);
     EXPECT_EQ(reader.meta().role, WorkloadRole::kMix);
     ASSERT_EQ(reader.ngroups(), 2);
@@ -369,12 +371,11 @@ TEST(WorkloadTrace, MixRecordReplayRoundTripsBitIdentically)
 {
     const std::string dir = ::testing::TempDir() + "sst_mix_rt";
     std::filesystem::create_directories(dir);
-    const WorkloadSpec mix = smallMix();
-    const std::string path = tracePathFor(dir, mix);
-    const SpeedupExperiment live =
-        recordSpeedupTrace(SimParams{}, mix, path);
-    const SpeedupExperiment replayed =
-        replaySpeedupTrace(SimParams{}, path);
+    JobSpec job;
+    job.workload = smallMix();
+    const SpeedupExperiment live = test::recordJob(job, dir);
+    const SpeedupExperiment replayed = replaySpeedupTrace(
+        SimParams{}, TraceReader(tracePathFor(dir, job.effectiveWorkload())));
     EXPECT_EQ(replayed.ts, live.ts);
     EXPECT_EQ(replayed.tp, live.tp);
     EXPECT_EQ(replayed.actualSpeedup, live.actualSpeedup);
@@ -446,7 +447,7 @@ TEST(WorkloadDriver, RecordDirCapturesFreshJobsOnly)
 
     // The captured trace replays bit-identically to the live run.
     const SpeedupExperiment replayed =
-        replaySpeedupTrace(jobs[0].params, path);
+        replaySpeedupTrace(jobs[0].params, TraceReader(path));
     EXPECT_EQ(replayed.ts, fresh[0].exp.ts);
     EXPECT_EQ(replayed.tp, fresh[0].exp.tp);
     std::filesystem::remove_all(rec);
