@@ -11,6 +11,7 @@
 
 #include "cli_common.hh"
 #include "core/classify.hh"
+#include "core/render.hh"
 #include "driver/fingerprint.hh"
 #include "driver/job.hh"
 #include "driver/result_cache.hh"
@@ -118,13 +119,51 @@ printBatchTable(const std::vector<JobSpec> &jobs,
                     err.mean() * 100.0);
 }
 
+/**
+ * The Section 6 check over an explained batch: the method does not
+ * account parallelization overhead, so the estimation error should
+ * correlate with the measured instruction growth of the parallel run
+ * (par_overhead). Printed for three or more successful jobs.
+ */
+void
+printOverheadCorrelation(const std::vector<JobSpec> &jobs,
+                         const std::vector<JobResult> &results)
+{
+    TextTable table;
+    table.setHeader({"benchmark", "threads", "par_overhead", "err"});
+    double sx = 0, sy = 0, sxy = 0, sxx = 0, syy = 0;
+    int n = 0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (!results[i].ok())
+            continue;
+        const double x = results[i].exp.parOverheadMeasured;
+        const double y = results[i].exp.error;
+        table.addRow({jobs[i].label(), std::to_string(jobs[i].nthreads()),
+                      fmtPercent(x), fmtPercent(y)});
+        sx += x, sy += y, sxy += x * y, sxx += x * x, syy += y * y;
+        ++n;
+    }
+    if (n < 3)
+        return;
+    const double cov = sxy / n - sx / n * sy / n;
+    const double vx = sxx / n - sx / n * sx / n;
+    const double vy = syy / n - sy / n * sy / n;
+    std::printf("== parallelization overhead vs error (Sec. 6) ==\n%s\n"
+                "correlation(par_overhead, error) = %.2f over %d jobs "
+                "(positive: unaccounted overhead inflates the "
+                "estimate)\n",
+                table.render().c_str(), cov / std::sqrt(vx * vy), n);
+}
+
 /** Run a validated spec's grid, print, export.
  *  A non-empty @p trace_out enables telemetry for the batch and writes
  *  a Chrome trace_event JSON of every job/driver span afterwards;
- *  results are bit-identical either way (telemetry is write-only). */
+ *  results are bit-identical either way (telemetry is write-only).
+ *  @p explain prints each job's diagnosis report instead of the
+ *  result table. */
 int
 executeBatch(const ExperimentSpec &spec, const DriverOptions &opts,
-             const std::string &trace_out)
+             const std::string &trace_out, bool explain)
 {
     const bool tracing = !trace_out.empty();
     if (tracing)
@@ -143,9 +182,26 @@ executeBatch(const ExperimentSpec &spec, const DriverOptions &opts,
         writeFile(trace_out, tracer.chromeTraceJson());
     }
 
-    if (!spec.quiet)
+    std::size_t unexplained = 0;
+    if (explain) {
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            try {
+                if (!results[i].ok())
+                    throw std::runtime_error(results[i].error);
+                std::printf("%s\n", renderExplainReport(jobs[i],
+                                                        results[i].exp)
+                                         .c_str());
+            } catch (const std::exception &e) {
+                ++unexplained;
+                std::printf("== %s ==\nFAILED: %s\n\n",
+                            jobs[i].label().c_str(), e.what());
+            }
+        }
+        printOverheadCorrelation(jobs, results);
+    } else if (!spec.quiet) {
         printBatchTable(jobs, results, !spec.grid.cores.empty(),
                         !spec.grid.llcBytes.empty());
+    }
     const BatchStats &stats = driver.stats();
     std::printf(
         "batch: %zu jobs, %zu executed, %zu cached, %zu deduped, "
@@ -160,7 +216,7 @@ executeBatch(const ExperimentSpec &spec, const DriverOptions &opts,
     if (!spec.jsonPath.empty())
         writeFile(spec.jsonPath, sweepJson(jobs, results));
 
-    return stats.failed == 0 ? 0 : 2;
+    return stats.failed == 0 && unexplained == 0 ? 0 : 2;
 }
 
 // ---- run / sweep -----------------------------------------------------------
@@ -195,7 +251,9 @@ batchUsage(const char *cmd)
     std::printf("usage: sst %s [--spec FILE] [options]\n"
                 "run an experiment grid given by a spec file (see\n"
                 "examples/specs/), by flags, or both: flags apply after\n"
-                "the file, in command-line order\n"
+                "the file, in command-line order; `sst explain` prints\n"
+                "a diagnosis report per job instead of the result table\n"
+                "and always simulates (no result cache)\n"
                 "  --spec FILE             start from this spec file\n"
                 "  --set KEY=VALUE         set one spec key (repeatable)\n",
                 cmd);
@@ -414,7 +472,7 @@ traceInfo(int argc, char **argv, int first)
 // ---- list -------------------------------------------------------------------
 
 int
-listProfiles()
+listProfiles(const char *)
 {
     TextTable table;
     table.setHeader({"label", "suite", "paper speedup @16", "class"});
@@ -428,7 +486,7 @@ listProfiles()
 }
 
 int
-listScheds()
+listScheds(const char *)
 {
     for (const std::string &name : schedulerRegistry().names())
         std::printf("%s\n", name.c_str());
@@ -436,7 +494,7 @@ listScheds()
 }
 
 int
-listMixes()
+listMixes(const char *)
 {
     TextTable table;
     table.setHeader({"mix", "role", "threads", "groups"});
@@ -449,23 +507,23 @@ listMixes()
     return 0;
 }
 
-/** Directory `sst list workloads` scans for example .wdl files. */
-constexpr const char *kExampleWorkloadDir = "examples/workloads";
-
+/** The .wdl files in @p dir (default: the repository's examples). */
 int
-listWorkloads()
+listWorkloads(const char *dir)
 {
     namespace fs = std::filesystem;
+    const fs::path root = dir ? dir : "examples/workloads";
     std::vector<fs::path> files;
     std::error_code ec;
-    for (fs::directory_iterator it(kExampleWorkloadDir, ec), end;
+    for (fs::directory_iterator it(root, ec), end;
          !ec && it != end; it.increment(ec)) {
         if (it->path().extension() == ".wdl")
             files.push_back(it->path());
     }
     std::sort(files.begin(), files.end());
     if (files.empty()) {
-        std::printf("no .wdl files under %s/\n\n", kExampleWorkloadDir);
+        std::printf("no .wdl files in %s\n\n",
+                    fs::absolute(root).lexically_normal().c_str());
     } else {
         TextTable table;
         table.setHeader({"file", "workload", "role", "threads",
@@ -504,15 +562,19 @@ listWorkloads()
 struct ListCommand
 {
     const char *name;
+    const char *argument; ///< optional argument's name; null: none
     const char *description;
-    int (*run)();
+    int (*run)(const char *argument); ///< null when not given
 };
 
 constexpr ListCommand kListCommands[] = {
-    {"profiles", "the Figure 6 benchmark suite", listProfiles},
-    {"scheds", "OS scheduler policies (--sched)", listScheds},
-    {"mixes", "named heterogeneous workloads (workload =)", listMixes},
-    {"workloads", "example .wdl files (workload-file =)", listWorkloads},
+    {"profiles", nullptr, "the Figure 6 benchmark suite", listProfiles},
+    {"scheds", nullptr, "OS scheduler policies (--sched)", listScheds},
+    {"mixes", nullptr, "named heterogeneous workloads (workload =)",
+     listMixes},
+    {"workloads", "[DIR]",
+     ".wdl files in DIR, default examples/workloads (workload-file =)",
+     listWorkloads},
 };
 
 std::string
@@ -533,7 +595,9 @@ listUsage()
     TextTable table;
     table.setHeader({"registry", "contents"});
     for (const ListCommand &c : kListCommands)
-        table.addRow({c.name, c.description});
+        table.addRow({std::string(c.name) +
+                          (c.argument ? std::string(" ") + c.argument : ""),
+                      c.description});
     std::printf("usage: sst list <%s>\n%s\n",
                 listCommandNamesJoined().c_str(),
                 table.render().c_str());
@@ -572,6 +636,7 @@ int
 batchMain(int argc, char **argv, int first)
 {
     const char *cmd = argv[first - 1];
+    const bool explain = std::string(cmd) == "explain";
     std::string specPath;
     // (key, value) assignments in command-line order, applied after the
     // spec file through the same applySpecValue path the file uses.
@@ -614,6 +679,11 @@ batchMain(int argc, char **argv, int first)
             } else if (arg == "--jobs") {
                 opts.jobs = parseInt("--jobs", argValue(argc, argv, i),
                                      0, 1 << 20);
+            } else if (explain &&
+                       (arg == "--cache-dir" || arg == "--refresh")) {
+                fatal("explain always simulates: cached results carry no "
+                      "per-thread counters, so " + arg +
+                      " does not apply");
             } else if (arg == "--cache-dir") {
                 opts.cacheDir = argValue(argc, argv, i);
             } else if (arg == "--no-cache") {
@@ -644,7 +714,14 @@ batchMain(int argc, char **argv, int first)
         }
         validateSpec(spec);
         opts.traceDir = spec.traceDir;
-        return executeBatch(spec, opts, traceOutPath);
+        if (explain) {
+            // Cached results keep only summary metrics, not the
+            // per-thread and per-core counters the report is made of.
+            opts.cacheDir.clear();
+            std::printf("explain: result cache off (cached results carry "
+                        "no per-thread counters)\n\n");
+        }
+        return executeBatch(spec, opts, traceOutPath, explain);
     } catch (const std::exception &e) {
         fatal(e.what());
     }
@@ -658,9 +735,14 @@ listMain(int argc, char **argv, int first)
         return 1; // missing registry argument is an error, like before
     }
     const std::string what = argv[first];
-    for (const ListCommand &c : kListCommands)
-        if (what == c.name)
-            return c.run();
+    const char *argument = first + 1 < argc ? argv[first + 1] : nullptr;
+    for (const ListCommand &c : kListCommands) {
+        if (what != c.name)
+            continue;
+        if (first + 2 < argc || (argument && !c.argument))
+            fatal("too many arguments for `sst list " + what + "`");
+        return c.run(argument);
+    }
     if (what == "--help" || what == "-h")
         return listUsage();
     listUsage();

@@ -14,8 +14,9 @@ namespace sst {
 namespace cli {
 
 /**
- * `sst run` / `sst sweep`: one parser for both — an optional `--spec`
- * file, then every grid flag applied through applySpecValue().
+ * `sst run` / `sst sweep` / `sst explain`: one parser for all three —
+ * an optional `--spec` file, then every grid flag applied through
+ * applySpecValue(). explain prints a diagnosis report per job.
  */
 int batchMain(int argc, char **argv, int first);
 

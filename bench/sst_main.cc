@@ -4,9 +4,15 @@
  *
  *   sst run --spec examples/specs/fig01.spec   declarative experiments
  *   sst sweep --profiles all --threads 16      the same, by flags
+ *   sst explain --profiles cholesky --threads 4
+ *                                              why a run has its stack:
+ *                                              per-core and per-thread
+ *                                              ground truth, ablations,
+ *                                              region stacks, hw cost
  *   sst trace record|replay|info               op-trace workflows
  *   sst list profiles|scheds|mixes|workloads   enumerate the registries
  *
+ * run, sweep and explain share one parser and one batch path.
  * The commands live in bench/cli_commands.cc. The dispatcher is
  * table-driven: usage text and the unknown-command error enumerate the
  * same table, so a new command cannot be half-registered.
@@ -30,6 +36,8 @@ constexpr Command kCommands[] = {
     {"run", "execute an experiment spec file (flags may override it)",
      sst::cli::batchMain},
     {"sweep", "express an experiment grid with flags (= run)",
+     sst::cli::batchMain},
+    {"explain", "diagnose each job of a grid (run's flags, no cache)",
      sst::cli::batchMain},
     {"trace", "record / replay / inspect binary op traces",
      sst::cli::traceMain},

@@ -25,12 +25,6 @@ struct AccountingParams
 {
     TianSpinDetector::Params tian;
     LiSpinDetector::Params li;
-    /**
-     * Which spin detector feeds the speedup stack. The paper uses the
-     * Tian et al. mechanism because it is the simpler hardware; the Li
-     * detector is kept for the ablation bench.
-     */
-    enum class Detector { kTian, kLi } stackDetector = Detector::kTian;
 };
 
 /** Accounting hardware for all threads of a run. */

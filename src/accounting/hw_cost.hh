@@ -5,8 +5,8 @@
  * interference accounting (ATD + ORA + event counters, from [7]) plus
  * 217 bytes per core for the Tian et al. load table — about 1.1 KB per
  * core, 18 KB for a 16-core CMP. This model derives those numbers from
- * structure geometry so design-space sweeps (e.g. the ATD sampling
- * ablation) report cost alongside accuracy.
+ * structure geometry, so `sst explain` reports the cost of each run's
+ * LLC and ATD sampling factor.
  */
 
 #ifndef SST_ACCOUNTING_HW_COST_HH

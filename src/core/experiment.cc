@@ -23,12 +23,10 @@ runSingleThreaded(const SimParams &params, const BenchmarkProfile &profile)
 SpeedupExperiment
 assembleExperiment(const std::string &label, int nthreads,
                    const SimParams &params, const RunResult &baseline,
-                   RunResult parallel, const ReportOptions *opts)
+                   RunResult parallel)
 {
     sstAssert(baseline.nthreads == 1,
               "baseline run must be single-threaded");
-    const ReportOptions options =
-        opts ? *opts : defaultReportOptions(params);
 
     SpeedupExperiment exp;
     exp.label = label;
@@ -42,7 +40,8 @@ assembleExperiment(const std::string &label, int nthreads,
                         static_cast<double>(exp.tp);
 
     const std::vector<CycleComponents> comps =
-        computeComponents(exp.parallel.threads, exp.tp, options);
+        computeComponents(exp.parallel.threads, exp.tp,
+                          defaultReportOptions(params));
     exp.stack = buildSpeedupStack(comps, exp.tp);
     exp.estimatedSpeedup = exp.stack.estimatedSpeedup;
     exp.error = speedupError(exp.estimatedSpeedup, exp.actualSpeedup,
@@ -61,23 +60,23 @@ assembleExperiment(const std::string &label, int nthreads,
 SpeedupExperiment
 runWithBaseline(const SimParams &params, const BenchmarkProfile &profile,
                 int nthreads, const RunResult &baseline,
-                const ReportOptions *opts, int ncores_override)
+                int ncores_override)
 {
     // Check before the expensive parallel simulation, not after.
     sstAssert(baseline.nthreads == 1,
               "baseline run must be single-threaded");
     return assembleExperiment(
         profile.label(), nthreads, params, baseline,
-        simulate(params, profile, nthreads, ncores_override), opts);
+        simulate(params, profile, nthreads, ncores_override));
 }
 
 SpeedupExperiment
 runSpeedupExperiment(const SimParams &params,
                      const BenchmarkProfile &profile, int nthreads,
-                     const ReportOptions *opts, int ncores_override)
+                     int ncores_override)
 {
     const RunResult baseline = runSingleThreaded(params, profile);
-    return runWithBaseline(params, profile, nthreads, baseline, opts,
+    return runWithBaseline(params, profile, nthreads, baseline,
                            ncores_override);
 }
 
@@ -104,12 +103,12 @@ combineGroupBaselines(const std::vector<RunResult> &group_baselines)
 
 SpeedupExperiment
 runMixExperiment(const SimParams &params, const WorkloadSpec &workload,
-                 const ReportOptions *opts, int ncores_override)
+                 int ncores_override)
 {
     workload.validate();
     if (workload.isHomogeneous()) {
         return runSpeedupExperiment(params, workload.groups[0].profile,
-                                    workload.groups[0].nthreads, opts,
+                                    workload.groups[0].nthreads,
                                     ncores_override);
     }
     std::vector<RunResult> bases;
@@ -119,15 +118,7 @@ runMixExperiment(const SimParams &params, const WorkloadSpec &workload,
     return assembleExperiment(
         workload.label(), workload.nthreads(), params,
         combineGroupBaselines(bases),
-        simulateWorkload(params, workload, ncores_override), opts);
-}
-
-const RunResult &
-BaselineStore::get(const std::string &key, const SimParams &params,
-                   const BenchmarkProfile &profile)
-{
-    return get(key,
-               [&] { return runSingleThreaded(params, profile); });
+        simulateWorkload(params, workload, ncores_override));
 }
 
 const RunResult &

@@ -60,15 +60,16 @@ RunResult runSingleThreaded(const SimParams &params,
 /**
  * Assemble a SpeedupExperiment from two already-completed runs: the
  * 1-thread reference and the parallel run. This is the pure math tail
- * of every experiment (Eqs. 1, 3, 6 + the stack build) and is shared by
- * the live path (runWithBaseline) and the trace-replay path, where the
- * runs come from recorded op streams instead of ThreadProgram.
+ * of every experiment (Eqs. 1, 3, 6 + the stack build, always with the
+ * paper's accounting: defaultReportOptions) and is shared by the live
+ * path (runWithBaseline) and the trace-replay path, where the runs come
+ * from recorded op streams instead of ThreadProgram. Ablations
+ * re-account the same counters (computeComponents; `sst explain`).
  */
 SpeedupExperiment assembleExperiment(const std::string &label,
                                      int nthreads, const SimParams &params,
                                      const RunResult &baseline,
-                                     RunResult parallel,
-                                     const ReportOptions *opts = nullptr);
+                                     RunResult parallel);
 
 /**
  * Run the @p nthreads-thread configuration and assemble the experiment
@@ -80,14 +81,12 @@ SpeedupExperiment assembleExperiment(const std::string &label,
 SpeedupExperiment runWithBaseline(const SimParams &params,
                                   const BenchmarkProfile &profile,
                                   int nthreads, const RunResult &baseline,
-                                  const ReportOptions *opts = nullptr,
                                   int ncores_override = 0);
 
 /** Convenience wrapper: baseline + parallel run in one call. */
 SpeedupExperiment runSpeedupExperiment(const SimParams &params,
                                        const BenchmarkProfile &profile,
                                        int nthreads,
-                                       const ReportOptions *opts = nullptr,
                                        int ncores_override = 0);
 
 /**
@@ -113,7 +112,6 @@ RunResult combineGroupBaselines(const std::vector<RunResult> &group_baselines);
  */
 SpeedupExperiment runMixExperiment(const SimParams &params,
                                    const WorkloadSpec &workload,
-                                   const ReportOptions *opts = nullptr,
                                    int ncores_override = 0);
 
 /** Default report options consistent with @p params. */
@@ -141,13 +139,6 @@ class BaselineStore
      */
     const RunResult &get(const std::string &key,
                          const std::function<RunResult()> &compute);
-
-    /**
-     * Convenience: compute the baseline via runSingleThreaded() on the
-     * synthetic-generator frontend.
-     */
-    const RunResult &get(const std::string &key, const SimParams &params,
-                         const BenchmarkProfile &profile);
 
     /** Number of baselines actually computed (not lookups). */
     std::size_t computeCount() const;

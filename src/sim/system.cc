@@ -104,7 +104,8 @@ System::run()
     while (finishedThreads_ < nthreads_) {
         const EventQueue::Event ev = events_.peek();
         if (ev.at == kNever)
-            panic("simulation deadlock: no runnable events");
+            throw SimulationError("simulation deadlock: no runnable "
+                                  "events");
         ++engineEvents_;
         if (ev.kind == EventQueue::Kind::kWake) {
             ++engineWakes_;
@@ -113,7 +114,8 @@ System::run()
             continue;
         }
         if (ev.at > kCycleCap)
-            fatal("simulation exceeded the cycle cap (livelock?)");
+            throw SimulationError("simulation exceeded the cycle cap "
+                                  "(livelock?)");
         processCore(cores_[static_cast<std::size_t>(ev.id)], ev.at);
     }
 

@@ -69,15 +69,6 @@ buildTable()
                         accounting.tian.markThreshold),
         SST_MACHINE_KEY("li-table-entries", kU64,
                         accounting.li.tableEntries),
-        MachineKey{"stack-detector", MachineKey::Kind::kDetector,
-                   [](const SimParams &p) {
-                       return static_cast<std::uint64_t>(
-                           p.accounting.stackDetector);
-                   },
-                   [](SimParams &p, std::uint64_t v) {
-                       p.accounting.stackDetector =
-                           static_cast<AccountingParams::Detector>(v);
-                   }},
     };
 }
 
@@ -138,8 +129,6 @@ machineValueText(const MachineKey &key, const SimParams &params)
         return sizeText(v);
     case MachineKey::Kind::kBool:
         return v ? "true" : "false";
-    case MachineKey::Kind::kDetector:
-        return v == 0 ? "tian" : "li";
     }
     return std::to_string(v); // unreachable
 }
@@ -192,15 +181,6 @@ setMachineValue(SimParams &params, const MachineKey &key,
         break;
     case MachineKey::Kind::kBool:
         v = parseBoolText(key.name, text) ? 1 : 0;
-        break;
-    case MachineKey::Kind::kDetector:
-        if (text == "tian")
-            v = 0;
-        else if (text == "li")
-            v = 1;
-        else
-            throw std::invalid_argument("bad spin detector '" + text +
-                                        "' (expected tian or li)");
         break;
     }
     key.set(params, v);

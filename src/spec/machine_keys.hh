@@ -38,7 +38,6 @@ struct MachineKey
         kU64,      ///< plain decimal integer
         kSize,     ///< byte count; accepts K/M/G, prints the shortest form
         kBool,     ///< true/false (0/1 accepted on input)
-        kDetector, ///< spin-detector selector: tian | li
     };
     Kind kind;
 

@@ -14,7 +14,7 @@
  * monitored; if processor state (register state + intervening stores) is
  * unchanged since the previous occurrence of the same backward branch,
  * the elapsed interval is spinning. Implemented for the paper's
- * comparison and exposed through the spin-detector ablation bench.
+ * comparison; `sst explain` shows its stack as an ablation row.
  */
 
 #ifndef SST_SYNC_SPIN_DETECT_HH

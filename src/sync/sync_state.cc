@@ -33,7 +33,11 @@ ThreadId
 SyncManager::release(LockId lock, ThreadId tid)
 {
     LockState &ls = lockRef(lock);
-    sstAssert(ls.owner == tid, "lock released by non-owner");
+    if (ls.owner != tid)
+        throw SimulationError("lock " + std::to_string(lock) +
+                              " released by thread " +
+                              std::to_string(tid) +
+                              ", which does not hold it");
     ls.owner = kInvalidId;
     ++ls.word; // release write: spinners observe the change
     ls.lastWriter = tid;

@@ -52,17 +52,6 @@ class TraceReader
     std::unique_ptr<OpSource> baselineSource(int group = 0) const;
 
     /**
-     * Validate that this trace can stand in for a live run of
-     * @p nthreads threads of the profile hashed as @p profile_hash
-     * under scheduler @p policy with RNG stream @p sched_seed — the
-     * homogeneous check (also rejects multi-group recordings). Throws
-     * TraceError naming the mismatched axis.
-     */
-    void requireCompatible(std::uint64_t profile_hash, int nthreads,
-                           SchedPolicy policy,
-                           std::uint64_t sched_seed) const;
-
-    /**
      * Validate that this trace records exactly the workload described
      * by @p role and the expected @p groups (per-group thread counts
      * and profile fingerprints, in order) under @p policy /

@@ -5,6 +5,7 @@
 #include "cache/hierarchy.hh"
 #include "driver/fingerprint.hh"
 #include "sim/system.hh"
+#include "util/logging.hh"
 #include "wdl/wdl.hh"
 
 namespace sst {
@@ -26,6 +27,21 @@ wdlGroupHash(const WorkloadSpec &workload, std::size_t group)
     canonical +=
         "seed=" + std::to_string(workload.groups[group].profile.seed) + '\n';
     return fnv1a64(canonical);
+}
+
+/** Run one replay of @p reader's streams: ops the simulator cannot
+ *  finish (a deadlock, a release of a lock not held) are a bad trace,
+ *  reported like any other malformed input. */
+template <typename Run>
+RunResult
+replayRun(const TraceReader &reader, Run run)
+{
+    try {
+        return run();
+    } catch (const SimulationError &e) {
+        throw TraceError("trace '" + reader.meta().label +
+                         "' does not replay: " + e.what());
+    }
 }
 
 } // namespace
@@ -189,22 +205,28 @@ replayParallel(const SimParams &params, const TraceReader &reader)
         sizes.push_back(g.nthreads);
     const ThreadTopology topo =
         topologyFor(reader.meta().role, sizes, reader.meta().nthreads);
-    return simulateSources(
-        params,
-        [&reader](ThreadId tid, int) { return reader.parallelSource(tid); },
-        reader.meta().nthreads, 0, &topo);
+    return replayRun(reader, [&] {
+        return simulateSources(
+            params,
+            [&reader](ThreadId tid, int) {
+                return reader.parallelSource(tid);
+            },
+            reader.meta().nthreads, 0, &topo);
+    });
 }
 
 RunResult
 replayBaseline(const SimParams &params, const TraceReader &reader,
                int group)
 {
-    return simulateSources(
-        params,
-        [&reader, group](ThreadId, int) {
-            return reader.baselineSource(group);
-        },
-        1);
+    return replayRun(reader, [&] {
+        return simulateSources(
+            params,
+            [&reader, group](ThreadId, int) {
+                return reader.baselineSource(group);
+            },
+            1);
+    });
 }
 
 SpeedupExperiment
@@ -213,7 +235,8 @@ replaySpeedupTrace(const SimParams &params, const TraceReader &reader)
     // Re-simulate under the recorded scheduler policy and RNG stream:
     // the recorded stacks only reproduce bit for bit under the schedule
     // they were captured with. Callers that demand a specific policy
-    // check the header first (requireCompatible / trace's --sched).
+    // check the header first (requireCompatibleWorkload in the driver,
+    // requireSchedPolicy for `sst trace replay --sched`).
     SimParams p = params;
     p.schedPolicy = reader.meta().schedPolicy;
     p.schedSeed = reader.meta().schedSeed;

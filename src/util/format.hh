@@ -1,8 +1,8 @@
 /**
  * @file
- * Plain-text table and CSV formatting for the bench binaries. The bench
- * harness prints the same rows/series the paper's figures plot, so output
- * legibility matters; this keeps all alignment logic in one place.
+ * Plain-text table and CSV formatting for the `sst` CLI and the figure
+ * benches, which print the same rows/series the paper's figures plot, so
+ * output legibility matters; this keeps all alignment logic in one place.
  */
 
 #ifndef SST_UTIL_FORMAT_HH

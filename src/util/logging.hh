@@ -1,7 +1,8 @@
 /**
  * @file
  * Minimal gem5-style status/error reporting: panic() for internal
- * invariant violations, fatal() for user/configuration errors, warn(),
+ * invariant violations, fatal() for user/configuration errors,
+ * SimulationError for op streams that cannot run to completion, warn(),
  * inform() and debugLog() for non-fatal diagnostics.
  *
  * Thread safety: each message is rendered into one string and emitted
@@ -23,6 +24,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 namespace sst {
@@ -72,6 +74,18 @@ emitLog(const char *severity, const std::string &component,
 }
 
 } // namespace detail
+
+/**
+ * An op stream the simulator cannot run to completion: a deadlock, a
+ * lock released by a thread that does not hold it, a run past the
+ * cycle cap. Generated workloads never raise it, but a replayed trace
+ * is input (trace replay reports it as a TraceError), and the driver
+ * fails the one job, not the process.
+ */
+struct SimulationError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
 
 /**
  * Abort the process because an internal invariant was violated. Use for

@@ -251,16 +251,15 @@ TEST(SchedTrace, PolicyMismatchRejected)
     const TraceReader reader = TraceReader::fromBytes(writer.serialize());
     EXPECT_EQ(reader.meta().schedPolicy, SchedPolicy::kRoundRobin);
     EXPECT_EQ(reader.meta().schedSeed, 9u);
-    EXPECT_NO_THROW(reader.requireCompatible(0x1234, 1,
-                                             SchedPolicy::kRoundRobin,
-                                             9));
-    EXPECT_THROW(reader.requireCompatible(0x1234, 1,
-                                          SchedPolicy::kAffinityFifo, 9),
-                 TraceError);
+    auto check = [&](SchedPolicy policy, std::uint64_t seed) {
+        reader.requireCompatibleWorkload(WorkloadRole::kReplicated,
+                                         test::homogeneousGroups(0x1234, 1),
+                                         policy, seed);
+    };
+    EXPECT_NO_THROW(check(SchedPolicy::kRoundRobin, 9));
+    EXPECT_THROW(check(SchedPolicy::kAffinityFifo, 9), TraceError);
     // Deterministic policies ignore the RNG stream: any seed matches.
-    EXPECT_NO_THROW(reader.requireCompatible(0x1234, 1,
-                                             SchedPolicy::kRoundRobin,
-                                             0));
+    EXPECT_NO_THROW(check(SchedPolicy::kRoundRobin, 0));
 }
 
 TEST(SchedTrace, RandomSeedMismatchRejected)
@@ -278,10 +277,13 @@ TEST(SchedTrace, RandomSeedMismatchRejected)
     writer.append(1, end);
 
     const TraceReader reader = TraceReader::fromBytes(writer.serialize());
-    EXPECT_NO_THROW(reader.requireCompatible(0x1234, 1,
-                                             SchedPolicy::kRandom, 9));
-    EXPECT_THROW(reader.requireCompatible(0x1234, 1,
-                                          SchedPolicy::kRandom, 0),
+    const std::vector<trace::TraceGroup> groups =
+        test::homogeneousGroups(0x1234, 1);
+    EXPECT_NO_THROW(reader.requireCompatibleWorkload(
+        WorkloadRole::kReplicated, groups, SchedPolicy::kRandom, 9));
+    EXPECT_THROW(reader.requireCompatibleWorkload(
+                     WorkloadRole::kReplicated, groups,
+                     SchedPolicy::kRandom, 0),
                  TraceError);
 }
 

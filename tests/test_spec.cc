@@ -50,8 +50,7 @@ fullyPopulatedSpec()
     machine.cache.llcBytes = 4u << 20;
     machine.timeSliceCycles = 8000;
     machine.migrationFlushesL1 = true;
-    machine.accounting.stackDetector =
-        AccountingParams::Detector::kLi;
+    machine.accounting.li.tableEntries = 32;
     spec.csvPath = "out.csv";
     spec.quiet = true;
     return spec;
@@ -78,8 +77,7 @@ TEST(Spec, FullyPopulatedSpecRoundTrips)
     EXPECT_EQ(machine.cache.llcBytes, 4u << 20);
     EXPECT_EQ(machine.timeSliceCycles, 8000u);
     EXPECT_TRUE(machine.migrationFlushesL1);
-    EXPECT_EQ(machine.accounting.stackDetector,
-              AccountingParams::Detector::kLi);
+    EXPECT_EQ(machine.accounting.li.tableEntries, 32);
     EXPECT_EQ(back.csvPath, "out.csv");
     EXPECT_TRUE(back.quiet);
 }
@@ -218,6 +216,22 @@ TEST(Spec, UnknownMachineKeysListMachineKeys)
     }
 }
 
+TEST(Spec, RetiredStackDetectorKeyIsUnknown)
+{
+    // The stack is always built from the Tian detector; the Li stack is
+    // an ablation row of `sst explain`, not a machine setting.
+    EXPECT_EQ(findMachineKey("stack-detector"), nullptr);
+    try {
+        parseSpec("threads = 4\nmachine.stack-detector = li\n");
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+        EXPECT_NE(what.find("unknown machine key"), std::string::npos)
+            << what;
+    }
+}
+
 // ---- machine-key table ------------------------------------------------------
 
 TEST(MachineKeys, SizeTextRoundTripsThroughParseSize)
@@ -255,7 +269,7 @@ TEST(MachineKeys, BadValuesAreRejected)
         setMachineValue(params, *findMachineKey("oracle-atds"), "maybe"),
         std::invalid_argument);
     EXPECT_THROW(
-        setMachineValue(params, *findMachineKey("stack-detector"), "w"),
+        setMachineValue(params, *findMachineKey("llc-bytes"), "2Q"),
         std::invalid_argument);
 }
 
@@ -391,7 +405,7 @@ TEST(Driver, OversubscribedJobMatchesDirectRun)
 
     const SpeedupExperiment direct = runSpeedupExperiment(
         spec.params, spec.workload.groups[0].profile, spec.nthreads(),
-        nullptr, spec.ncores);
+        spec.ncores);
     EXPECT_EQ(results[0].exp.ts, direct.ts);
     EXPECT_EQ(results[0].exp.tp, direct.tp);
     EXPECT_EQ(results[0].exp.actualSpeedup, direct.actualSpeedup);

@@ -249,8 +249,9 @@ TEST(TraceFormat, Version1HeaderStillReadable)
     EXPECT_EQ(reader.meta().nthreads, 1);
     EXPECT_EQ(reader.meta().schedPolicy, SchedPolicy::kAffinityFifo);
     EXPECT_EQ(reader.meta().schedSeed, 0u);
-    EXPECT_NO_THROW(reader.requireCompatible(
-        0xfeedULL, 1, SchedPolicy::kAffinityFifo, 0));
+    EXPECT_NO_THROW(reader.requireCompatibleWorkload(
+        WorkloadRole::kReplicated, test::homogeneousGroups(0xfeedULL, 1),
+        SchedPolicy::kAffinityFifo, 0));
 }
 
 TEST(TraceFormat, MissingEndMarkerThrows)
@@ -277,25 +278,27 @@ TEST(TraceFormat, MissingEndMarkerThrows)
 TEST(TraceFormat, CompatibilityChecks)
 {
     const TraceReader reader = TraceReader::fromBytes(tinyTraceBytes());
-    EXPECT_NO_THROW(reader.requireCompatible(
-        0xfeedULL, 2, SchedPolicy::kAffinityFifo, 0));
+    auto check = [&](std::uint64_t hash, int nthreads, SchedPolicy policy) {
+        reader.requireCompatibleWorkload(
+            WorkloadRole::kReplicated, test::homogeneousGroups(hash, nthreads),
+            policy, 0);
+    };
+    EXPECT_NO_THROW(check(0xfeedULL, 2, SchedPolicy::kAffinityFifo));
 
     // Thread-count mismatch names both counts.
     try {
-        reader.requireCompatible(0xfeedULL, 4,
-                                 SchedPolicy::kAffinityFifo, 0);
+        check(0xfeedULL, 4, SchedPolicy::kAffinityFifo);
         FAIL() << "expected TraceError";
     } catch (const TraceError &e) {
         EXPECT_NE(std::string(e.what()).find("thread-count"),
                   std::string::npos);
     }
     // Profile mismatch (stale trace).
-    EXPECT_THROW(reader.requireCompatible(0xbeefULL, 2,
-                                          SchedPolicy::kAffinityFifo, 0),
+    EXPECT_THROW(check(0xbeefULL, 2, SchedPolicy::kAffinityFifo),
                  TraceError);
     // Scheduler-policy mismatch names both policies.
     try {
-        reader.requireCompatible(0xfeedULL, 2, SchedPolicy::kRandom, 0);
+        check(0xfeedULL, 2, SchedPolicy::kRandom);
         FAIL() << "expected TraceError";
     } catch (const TraceError &e) {
         EXPECT_NE(std::string(e.what()).find("scheduler-policy"),

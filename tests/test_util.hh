@@ -12,6 +12,7 @@
 #include <string>
 
 #include "driver/driver.hh"
+#include "trace/trace_format.hh"
 #include "workload/profile.hh"
 
 namespace sst {
@@ -88,6 +89,17 @@ memoryHeavyProfile()
     p.privateHotBytes = 16 * 1024;
     p.privateHotFrac = 0.9;
     return p;
+}
+
+/**
+ * The group table a homogeneous recording of @p nthreads threads of the
+ * profile hashed as @p profile_hash carries (one replicated group), for
+ * TraceReader::requireCompatibleWorkload.
+ */
+inline std::vector<trace::TraceGroup>
+homogeneousGroups(std::uint64_t profile_hash, int nthreads)
+{
+    return {trace::TraceGroup{nthreads, profile_hash, ""}};
 }
 
 /**

